@@ -40,13 +40,6 @@ def _reach_input(rng, n, degree):
     return indptr, indices, n, seeds
 
 
-def _obs_input(rng, n, p):
-    a = rng.standard_normal((n, n))
-    a /= np.abs(a).sum(axis=1).max()
-    h = rng.standard_normal((p, n))
-    return a, h
-
-
 def _best_of(func, args, repeat):
     best = np.inf
     for _ in range(repeat):
@@ -66,7 +59,6 @@ def main():
 
     rng = np.random.default_rng(7)
     n_graph = int(20000 * args.scale)
-    n_dense = int(256 * args.scale)
 
     cases = [
         ("hopcroft_karp", K._hk_kernel,
@@ -78,9 +70,6 @@ def main():
         ("reachable", K._reach_kernel,
          _reach_input(rng, n_graph, 3),
          f"digraph, {n_graph} nodes, {max(1, n_graph // 100)} seeds"),
-        ("obs_stack", K._obs_stack_kernel,
-         _obs_input(rng, n_dense, 4),
-         f"dense, n={n_dense}, p=4"),
     ]
 
     print(f"backend: {K.BACKEND} (set OBSPART_NUMBA=0 to force numpy)")

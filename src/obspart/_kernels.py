@@ -1,4 +1,4 @@
-"""Array kernels for the hot graph/rank loops.
+"""Array kernels for the hot graph loops.
 
 Every kernel is written once, against plain numpy arrays, and compiled with
 numba when available.  Set ``OBSPART_NUMBA=0`` to force the pure-numpy path
@@ -243,26 +243,6 @@ def _reach_kernel_impl(indptr, indices, n, seeds):
     return mask
 
 
-def obs_stack(a, h):
-    """Stack [H; HA; HA^2; ...; HA^(n-1)] for float64 matrices."""
-    if h.shape[0] == 0:
-        return np.empty((0, a.shape[0]), dtype=np.float64)
-    return _obs_stack_kernel(np.ascontiguousarray(a), np.ascontiguousarray(h))
-
-
-def _obs_stack_kernel_impl(a, h):
-    n = a.shape[0]
-    p = h.shape[0]
-    out = np.empty((n * p, n), np.float64)
-    block = h.copy()
-    out[0:p] = block
-    for k in range(1, n):
-        block = np.dot(block, a)
-        out[k * p:(k + 1) * p] = block
-    return out
-
-
 _hk_kernel = _speed_up(_hk_kernel_impl)
 _tarjan_kernel = _speed_up(_tarjan_kernel_impl)
 _reach_kernel = _speed_up(_reach_kernel_impl)
-_obs_stack_kernel = _speed_up(_obs_stack_kernel_impl)

@@ -6,7 +6,7 @@ distinct states.  Everything is driven by a caller-supplied Generator so
 corpora are reproducible from a single seed.
 """
 
-from .errors import ParameterError
+from .errors import DegenerateStructureError, ParameterError
 from .matching import system_contractions
 from .structure import StructuredSystem
 
@@ -33,15 +33,10 @@ def random_partitionable_system(rng, n_lo=3, n_hi=10, density_lo=1.5,
     sets are pairwise disjoint-or-equal, i.e. every rank deficit is
     repairable one sensor at a time and the class machinery applies.
     """
-    from .errors import DegenerateStructureError
-
     for _ in range(attempts):
         sys = random_system(rng, n_lo, n_hi, density_lo, density_hi, p_lo, p_hi)
         try:
-            system_contractions(
-                StructuredSystem(n=sys.n, p=0, a_pattern=sys.a_pattern,
-                                 h_pattern=frozenset())
-            )
+            system_contractions(sys.without_measurements())
         except DegenerateStructureError:
             continue
         return sys

@@ -142,6 +142,21 @@ def _complex_pairs(values):
     return [[z.real, z.imag] for z in values]
 
 
+def _rank_dict(rank):
+    """The "rank" block shared by analysis and verify reports."""
+    return {
+        "trials": rank.trials,
+        "tol": rank.tol,
+        "gramian_rank": rank.gramian_rank,
+        "agreement": rank.agreement,
+        "gramian_ranks": list(rank.gramian_ranks),
+        "pbh_rank_deficient_eigenvalues": _complex_pairs(
+            rank.pbh_rank_deficient_eigenvalues
+        ),
+        "pbh_observable": list(rank.pbh_observable),
+    }
+
+
 def report_dict(sys, check, part, rank, seed, forbidden=(), names=None):
     """Assemble the versioned report document.  Key order is part of the
     format: insertion order below is what gets serialized."""
@@ -159,17 +174,7 @@ def report_dict(sys, check, part, rank, seed, forbidden=(), names=None):
         "minimal_sets": [list(s) for s in part.minimal_sets],
         "sensor_count": part.sensor_count,
         "forbidden": sorted(forbidden),
-        "rank": {
-            "trials": rank.trials,
-            "tol": rank.tol,
-            "gramian_rank": rank.gramian_rank,
-            "agreement": rank.agreement,
-            "gramian_ranks": list(rank.gramian_ranks),
-            "pbh_rank_deficient_eigenvalues": _complex_pairs(
-                rank.pbh_rank_deficient_eigenvalues
-            ),
-            "pbh_observable": list(rank.pbh_observable),
-        },
+        "rank": _rank_dict(rank),
         "seed": seed,
     }
     if names is not None:
@@ -189,17 +194,7 @@ def verify_dict(sys, check, rank, seed):
         "s_rank": check.s_rank,
         "numeric_observable": numeric_observable,
         "verdicts_agree": check.observable == numeric_observable,
-        "rank": {
-            "trials": rank.trials,
-            "tol": rank.tol,
-            "gramian_rank": rank.gramian_rank,
-            "agreement": rank.agreement,
-            "gramian_ranks": list(rank.gramian_ranks),
-            "pbh_rank_deficient_eigenvalues": _complex_pairs(
-                rank.pbh_rank_deficient_eigenvalues
-            ),
-            "pbh_observable": list(rank.pbh_observable),
-        },
+        "rank": _rank_dict(rank),
         "seed": seed,
     }
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import csr_from_edges, hopcroft_karp, reachable
 from .errors import DegenerateStructureError, InconsistencyError
-from .structure import BipartiteGraph, StructuredSystem, build_bipartite, build_digraph
+from .structure import BipartiteGraph, build_bipartite, build_digraph
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def maximum_matching(bg):
 def s_rank(sys, include_h=False):
     """Structural rank of A, or of the stacked [A; H] with ``include_h``."""
     if not include_h:
-        sys = StructuredSystem(n=sys.n, p=0, a_pattern=sys.a_pattern)
+        sys = sys.without_measurements()
     bg = build_bipartite(build_digraph(sys))
     return maximum_matching(bg).size
 

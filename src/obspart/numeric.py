@@ -4,11 +4,16 @@ Structural claims ("this pattern is generically observable", "these two
 sensor sites are interchangeable") hold for almost every choice of matrix
 values.  This module draws concrete realizations — log-uniform magnitudes
 in [0.5, 2] with random signs, deterministic per (seed, trial) — and
-checks the claims with plain linear algebra: the rank of the stacked
-observability matrix [H; HA; ...; HA^(n-1)] and the eigenvector test on
-[A - lambda*I; H].  Ranks are SVD-based with a relative threshold, and
-verdicts are taken as the mode over several trials so a single unlucky
-draw near a degenerate surface cannot flip a result.
+checks the claims with plain linear algebra.  One orthonormal basis of the
+observable row space, the span of [H; HA; ...; HA^(n-1)], is grown per
+realization: only the directions added at the previous step are
+multiplied by A, so each step costs one small SVD.  Its row count is the
+observability rank, and the restriction of A to its orthogonal
+complement carries exactly the unobservable modes, the eigenvalues at
+which the eigenvector test on [A - lambda*I; H] fails (compare Paige's
+staircase form, IEEE TAC 1981).  Ranks use SVD thresholds relative to
+the norm of A, and verdicts are taken as the mode over several trials so
+a single unlucky draw near a degenerate surface cannot flip a result.
 """
 
 import math
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError
+from .matching import s_rank
 from .partition import theorem_check
 
 DEFAULT_SEED = 42
@@ -90,68 +96,129 @@ def _svd_rank(matrix, tol):
     return int((sv > tol * sv[0]).sum())
 
 
-def _orth_rows(matrix, tol):
-    """Orthonormal basis of the row space; directions below tol dropped."""
-    _, sv, vt = np.linalg.svd(matrix, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0:
-        return np.zeros((0, matrix.shape[1]))
-    return vt[sv > tol * sv[0]]
+def _observable_basis(r, tol):
+    """Orthonormal rows spanning the row space of [H; HA; ...; HA^(n-1)].
+
+    H's row space is taken first, with a threshold relative to its own
+    largest singular value.  Each step then multiplies only the frontier,
+    the directions the previous step added, by the normalized A, projects
+    the basis out of the product twice (once is not enough to reach
+    working precision), and keeps the directions of the remainder above
+    ``tol``: the frontier rows have unit length and the normalized A has
+    unit infinity-norm, so ``tol`` is relative to both.  The loop stops
+    when a step adds nothing: the basis then spans an A-invariant space.
+    Nothing is multiplied by A twice before it is orthonormalized, so
+    genuine directions do not decay below the threshold the way the rows
+    of explicit powers do.
+    """
+    a = _normalized_a(r.a)
+    n = a.shape[0]
+    if not r.h.any():
+        return np.zeros((0, n))
+    _, sv, vt = np.linalg.svd(r.h, full_matrices=False)
+    basis = vt[sv > tol * sv[0]]
+    frontier = basis
+    while frontier.shape[0] and basis.shape[0] < n:
+        grown = frontier @ a
+        for _ in range(2):
+            grown -= (grown @ basis.T) @ basis
+        _, sv, vt = np.linalg.svd(grown, full_matrices=False)
+        frontier = vt[sv > tol]
+        basis = np.vstack([basis, frontier])
+    return basis
 
 
 def gramian_rank(r, tol=DEFAULT_TOL):
     """Rank of the stacked observability matrix of one realization.
 
-    The row space of [H; HA; ...; HA^(n-1)] is grown one multiplication
-    at a time, re-orthonormalizing after each step.  Forming the powers
-    directly would let genuine directions decay exponentially below any
-    fixed threshold on larger systems; here nothing is ever multiplied
-    by A more than once before renormalization, so only true
-    near-dependencies fall under ``tol``.
+    It is the row count of the orthonormal basis ``_observable_basis``
+    grows one frontier at a time; the powers of A are never formed, and
+    each step costs one SVD of at most p rows, so the whole rank is
+    O(n^3).
     """
     _check_tol(tol)
-    a = _normalized_a(r.a)
-    if r.h.size == 0:
-        return 0
-    basis = _orth_rows(r.h, tol)
-    for _ in range(a.shape[1] - 1):
-        grown = _orth_rows(np.vstack([basis, basis @ a]), tol)
-        if grown.shape[0] == basis.shape[0]:
-            break  # invariant row space: further powers add nothing
-        basis = grown
-    return basis.shape[0]
+    return _observable_basis(r, tol).shape[0]
+
+
+def _modal(ranks):
+    """(lowest of the most frequent ranks, the share of votes it has)."""
+    counts = Counter(ranks)
+    best = max(counts.values())
+    return min(r for r, c in counts.items() if c == best), best / len(ranks)
 
 
 def modal_gramian_rank(sys, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
     """(modal rank, agreement fraction) over ``trials`` realizations."""
     _check_trials(trials)
-    ranks = [gramian_rank(realize(sys, seed, t), tol) for t in range(trials)]
-    counts = Counter(ranks)
-    best = max(counts.values())
-    modal = min(r for r, c in counts.items() if c == best)
-    return modal, best / trials
+    return _modal([gramian_rank(realize(sys, seed, t), tol) for t in range(trials)])
+
+
+def _eigvals(matrix, a):
+    try:
+        return np.linalg.eigvals(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"eigensolver failed: {exc}\nA = {np.array2string(a)}"
+        ) from exc
+
+
+def _unobservable_modes(r, basis, tol):
+    """Eigenvalues of A, as ``np.linalg.eigvals`` lists them, at which PBH
+    fails, given an orthonormal basis of the observable row space.
+
+    The orthogonal complement W of the basis is A-invariant and H vanishes
+    on it, so in the basis [basis; W^T] the pencil [A - lambda*I; H] has
+    the column block [0; B - lambda*I; 0], with B = W^T A W of size
+    (n-r) x (n-r).  An eigenvalue of A fails when the smallest singular
+    value of B - lambda*I is at most ``tol`` times the largest of [A; H]:
+    the threshold scales with the system, not with the block, whose norm
+    can be arbitrarily small.
+
+    That singular value is at most the distance from lambda to the
+    nearest eigenvalue of B, so eigenvalues within the threshold of one
+    fail without an SVD.  Those farther than sqrt(tol) times the norm are
+    taken to pass, also without one: a defective pair of modes splits by
+    about that much under perturbations at the threshold.  Only the few
+    in between cost an SVD of B - lambda*I, which keeps the whole test
+    O(n^3).  Each eigenvalue of B also claims its nearest eigenvalue of
+    A, so the list is nonempty exactly when r < n, even where the
+    eigensolver splits a defective cluster further than the test reaches.
+    """
+    a = r.a
+    n, rank = a.shape[0], basis.shape[0]
+    if rank == n:
+        return ()
+    eigenvalues = np.asarray(
+        sorted(_eigvals(a, a), key=lambda z: (z.real, z.imag)), dtype=complex
+    )
+    q, _ = np.linalg.qr(basis.T, mode="complete")
+    w = q[:, rank:]
+    block = w.T @ a @ w
+    scale = np.linalg.norm(np.vstack([a, r.h]), 2)
+    gap = np.abs(eigenvalues[:, None] - _eigvals(block, a)[None, :])
+    nearest = gap.min(axis=1)
+    deficient = nearest <= tol * scale
+    eye = np.eye(n - rank)
+    for i in np.flatnonzero(~deficient & (nearest <= math.sqrt(tol) * scale)):
+        sv = np.linalg.svd(block - eigenvalues[i] * eye, compute_uv=False)
+        deficient[i] = sv[-1] <= tol * scale
+    deficient[gap.argmin(axis=0)] = True
+    return tuple(complex(lam) for lam in eigenvalues[deficient])
 
 
 def pbh_check(r, tol=DEFAULT_TOL):
     """Eigenvalues of A at which [A - lambda*I; H] loses column rank.
 
-    Works on the raw A: no powers are formed, so no pre-scaling is
-    needed, and the reported eigenvalues are the system's own.
+    The eigenvalues are reported exactly as ``np.linalg.eigvals`` returns
+    them for the raw A, sorted by (real, imag), one entry per listed copy.
+    Which of them fail is decided on the restriction of A to the
+    orthogonal complement of the observable row space (see
+    ``_unobservable_modes``), which costs one eigensolve of an
+    (n-r) x (n-r) block in place of an SVD of the (n+p) x n pencil per
+    eigenvalue.
     """
     _check_tol(tol)
-    a = r.a
-    n = a.shape[0]
-    try:
-        eigenvalues = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"eigensolver failed: {exc}\nA = {np.array2string(r.a)}"
-        ) from exc
-    deficient = []
-    for lam in sorted(eigenvalues, key=lambda z: (z.real, z.imag)):
-        pencil = np.vstack([a - lam * np.eye(n), r.h])
-        if _svd_rank(pencil, tol) < n:
-            deficient.append(complex(lam))
-    return tuple(deficient)
+    return _unobservable_modes(r, _observable_basis(r, tol), tol)
 
 
 @dataclass(frozen=True)
@@ -169,44 +236,40 @@ class RankReport:
 
 
 def rank_report(sys, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
+    """Per-trial ranks, their modal vote, and the PBH side of the oracle.
+
+    One observable basis per trial serves both the rank and the PBH
+    test.  ``pbh_check`` lists an eigenvalue exactly when the rank falls
+    short of n, so each trial's PBH verdict is read off its rank, and the
+    eigensolves run for trial 0 only, whose deficient eigenvalues are
+    reported.
+    """
     _check_trials(trials)
     _check_tol(tol)
     ranks = []
-    pbh_verdicts = []
     pbh_first = ()
     for t in range(trials):
         r = realize(sys, seed, t)
-        ranks.append(gramian_rank(r, tol))
-        deficient = pbh_check(r, tol)
-        pbh_verdicts.append(len(deficient) == 0)
+        basis = _observable_basis(r, tol)
+        ranks.append(basis.shape[0])
         if t == 0:
-            pbh_first = deficient
-    counts = Counter(ranks)
-    best = max(counts.values())
-    modal = min(r for r, c in counts.items() if c == best)
+            pbh_first = _unobservable_modes(r, basis, tol)
+    modal, agreement = _modal(ranks)
     return RankReport(
         n=sys.n,
         trials=trials,
         tol=tol,
         gramian_rank=modal,
-        agreement=best / trials,
+        agreement=agreement,
         gramian_ranks=tuple(ranks),
         pbh_rank_deficient_eigenvalues=pbh_first,
-        pbh_observable=tuple(pbh_verdicts),
+        pbh_observable=tuple(k == sys.n for k in ranks),
     )
-
-
-def _bare(sys):
-    """The state pattern with all measurement rows dropped."""
-    from .structure import StructuredSystem
-
-    return StructuredSystem(n=sys.n, p=0, a_pattern=sys.a_pattern,
-                            h_pattern=frozenset())
 
 
 def _stacked_rank(sys, extra_states, seed, tol):
     """Numeric rank of a realized [A; rows on extra_states] stack."""
-    probe = _bare(sys).with_sensor_rows(extra_states)
+    probe = sys.without_measurements().with_sensor_rows(extra_states)
     r = realize(probe, seed, 0)
     return _svd_rank(np.vstack([r.a, r.h]), tol)
 
@@ -218,10 +281,8 @@ def verify_alpha_equivalence(sys, u, v, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     the structural rank of the bare state pattern by exactly one, then
     confirms the three ranks on a numeric realization.
     """
-    from .matching import s_rank  # local import keeps module load order flat
-
     _check_tol(tol)
-    bare = _bare(sys)
+    bare = sys.without_measurements()
     base = s_rank(bare)
     probes = ([u], [v], [u, v])
     structural_ok = all(
@@ -252,7 +313,7 @@ def verify_beta_equivalence(
     _check_trials(trials)
     _check_tol(tol)
     h_alpha = list(h_alpha)
-    base_sys = _bare(sys).with_sensor_rows(h_alpha)
+    base_sys = sys.without_measurements().with_sensor_rows(h_alpha)
     base_rank, _ = modal_gramian_rank(base_sys, seed, trials, tol)
     rank_u, _ = modal_gramian_rank(base_sys.with_sensor_rows([u]), seed, trials, tol)
     rank_v, _ = modal_gramian_rank(base_sys.with_sensor_rows([v]), seed, trials, tol)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .matching import s_rank, system_contractions
 from .scc import accessibility_check, decompose
-from .structure import StructuredSystem, build_digraph
+from .structure import build_digraph
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -85,12 +85,6 @@ def theorem_check(sys):
     )
 
 
-def _strip_measurements(sys):
-    return StructuredSystem(
-        n=sys.n, p=0, a_pattern=sys.a_pattern, h_pattern=frozenset()
-    )
-
-
 def equivalence_classes(sys):
     """(rank classes, access classes) of the state pattern.
 
@@ -100,7 +94,7 @@ def equivalence_classes(sys):
     parent yields none, because it necessarily contains a full rank
     class and the sensor that class demands already sits inside it.
     """
-    bare = _strip_measurements(sys)
+    bare = sys.without_measurements()
     alpha = tuple(c.members for c in system_contractions(bare))
     dec = decompose(build_digraph(bare))
     beta = tuple(
@@ -224,7 +218,7 @@ def minimal_placement(alpha_classes, beta_classes, *, sys=None, all_witnesses=Fa
         sets = (_witness(alpha, beta, match_begin, match_end),)
 
     if sys is not None:
-        bare = _strip_measurements(sys)
+        bare = sys.without_measurements()
         for placement in sets:
             check = theorem_check(bare.with_sensor_rows(placement))
             if not check.observable:

@@ -120,6 +120,10 @@ class StructuredSystem:
             a_pattern=self.a_pattern, h_pattern=frozenset(kept),
         )
 
+    def without_measurements(self):
+        """The bare state pattern: every measurement row dropped."""
+        return StructuredSystem(n=self.n, p=0, a_pattern=self.a_pattern)
+
 
 def state_node(i):
     return f"x{i}"

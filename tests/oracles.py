@@ -153,9 +153,74 @@ def brute_sccs(n_nodes, arcs):
     return comps
 
 
-def obs_stack_oracle(a, h):
-    """[H; HA; ...; HA^(n-1)] via matrix powers."""
-    n = a.shape[0]
-    if h.shape[0] == 0:
-        return np.zeros((0, n))
-    return np.vstack([h @ np.linalg.matrix_power(a, k) for k in range(n)])
+def obs_stack(a, h):
+    """The plain observability stack [H; HA; HA^2; ...; HA^(n-1)]."""
+    blocks = [h]
+    for _ in range(a.shape[0] - 1):
+        blocks.append(blocks[-1] @ a)
+    return np.vstack(blocks)
+
+
+# ---------------------------------------------------------------------------
+# exact generic observability rank over a prime field
+
+PRIME = 2**31 - 19
+
+
+def _mulmod(x, y):
+    """x @ y mod PRIME for int64 arrays with entries in [0, PRIME).
+
+    ``x`` is split into 16-bit halves, so every partial sum stays inside
+    int64 for inner dimensions up to 2**15.
+    """
+    hi, lo = x >> 16, x & 0xFFFF
+    return ((hi @ y) % PRIME * 65536 + lo @ y) % PRIME
+
+
+def _gf_extend(rref, pivots, rows):
+    """Add the independent part of ``rows`` to a reduced echelon basis.
+
+    Returns (rref, pivots, added rows).
+    """
+    added = []
+    for row in rows:
+        if pivots:
+            row = (row - _mulmod(row[pivots][None, :], rref)[0]) % PRIME
+        nonzero = np.flatnonzero(row)
+        if nonzero.size == 0:
+            continue
+        c = int(nonzero[0])
+        row = row * pow(int(row[c]), PRIME - 2, PRIME) % PRIME
+        rref = (rref - np.outer(rref[:, c], row)) % PRIME
+        rref = np.vstack([rref, row])
+        pivots = pivots + [c]
+        added.append(row)
+    return rref, pivots, added
+
+
+def exact_krylov_rank(n, a_entries, h_entries, seed=0, draws=2):
+    """Generic rank of [H; HA; ...; HA^(n-1)] from values drawn in GF(PRIME).
+
+    ``h_entries`` holds 1-based (row, state) pairs.  A draw can only fall
+    below the generic rank, with probability at most about n / PRIME
+    (Schwartz-Zippel), so the larger of ``draws`` draws is exact in
+    practice.  Only rows that entered the basis at the previous step are
+    multiplied by A again: their span together with the basis is the
+    Krylov space so far.
+    """
+    rng = np.random.default_rng(seed)
+    p = max((r for r, _ in h_entries), default=0)
+    best = 0
+    for _ in range(draws):
+        a = np.zeros((n, n), dtype=np.int64)
+        h = np.zeros((p, n), dtype=np.int64)
+        for (i, j) in sorted(a_entries):
+            a[i - 1, j - 1] = rng.integers(1, PRIME)
+        for (r, j) in sorted(h_entries):
+            h[r - 1, j - 1] = rng.integers(1, PRIME)
+        rref, pivots, frontier = _gf_extend(np.zeros((0, n), np.int64), [], h)
+        while frontier:
+            grown = _mulmod(np.vstack(frontier), a)
+            rref, pivots, frontier = _gf_extend(rref, pivots, grown)
+        best = max(best, len(pivots))
+    return best

@@ -31,7 +31,12 @@ from obspart import (
     theorem_check,
 )
 from conftest import FIX15_ALPHA, FIX15_BETA
-from oracles import brute_min_sensors, numeric_observable, possible_unmatched_sets
+from oracles import (
+    _pbh_observable,
+    brute_min_sensors,
+    numeric_observable,
+    possible_unmatched_sets,
+)
 
 VERDICT_SEED = 42
 SAMPLE_SEED = 990817  # generator stream for the 1000-system sample
@@ -277,6 +282,7 @@ def test_criterion_7_pbh_gramian_consistency(partition_corpus, wide_sample):
     population.extend(wide_sample)
 
     mismatches = 0
+    oracle_mismatches = 0
     realizations = 0
     for sys in population:
         for trial in range(5):
@@ -286,7 +292,14 @@ def test_criterion_7_pbh_gramian_consistency(partition_corpus, wide_sample):
             realizations += 1
             if gramian_full != pbh_full:
                 mismatches += 1
+            # pbh_check and gramian_rank share one basis; the per-eigenvalue
+            # pencil SVD of the oracle keeps the check independent
+            if pbh_full != _pbh_observable(r.a, r.h):
+                oracle_mismatches += 1
     assert mismatches == 0, f"{mismatches}/{realizations} verdict mismatches"
+    assert oracle_mismatches == 0, (
+        f"{oracle_mismatches}/{realizations} disagree with the pencil-SVD oracle"
+    )
 
     for sys in partition_corpus:
         r = realize(sys, VERDICT_SEED)

@@ -6,7 +6,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from obspart import _kernels as K
-from oracles import bfs_reach, brute_sccs, obs_stack_oracle
+from oracles import bfs_reach, brute_sccs
 
 pure = pytest.mark.skipif(
     not K.USE_NUMBA, reason="backend already runs the pure-python path"
@@ -120,23 +120,6 @@ class TestReachable:
         assert {v for v in range(n) if mask[v]} == bfs_reach(n, arcs, seed_nodes)
 
 
-class TestObsStack:
-    def test_matches_matrix_powers(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(1, 7))
-            p = int(rng.integers(0, 4))
-            a = rng.normal(size=(n, n))
-            h = rng.normal(size=(p, n))
-            np.testing.assert_allclose(
-                K.obs_stack(a, h), obs_stack_oracle(a, h), atol=1e-10
-            )
-
-    def test_empty_h(self):
-        out = K.obs_stack(np.eye(3), np.zeros((0, 3)))
-        assert out.shape == (0, 3)
-
-
 class TestBackendParity:
     """The compiled kernels and their pure-python originals must agree."""
 
@@ -176,17 +159,6 @@ class TestBackendParity:
             jit = K._reach_kernel(indptr, indices, n, seeds)
             py = K._reach_kernel.py_func(indptr, indices, n, seeds)
             assert jit.tolist() == py.tolist()
-
-    @pure
-    def test_obs_stack_py_func(self):
-        rng = np.random.default_rng(37)
-        a = rng.normal(size=(5, 5))
-        h = rng.normal(size=(2, 5))
-        jit = K._obs_stack_kernel(np.ascontiguousarray(a), np.ascontiguousarray(h))
-        py = K._obs_stack_kernel.py_func(
-            np.ascontiguousarray(a), np.ascontiguousarray(h)
-        )
-        np.testing.assert_allclose(jit, py, atol=0)
 
     def test_backend_flag_is_reported(self):
         assert K.BACKEND in ("numba", "numpy")

@@ -9,6 +9,7 @@ from obspart import (
     gramian_rank,
     modal_gramian_rank,
     pbh_check,
+    random_system,
     rank_report,
     realize,
     s_rank,
@@ -16,6 +17,7 @@ from obspart import (
     verify_beta_equivalence,
 )
 from conftest import S
+from oracles import exact_krylov_rank, obs_stack
 from strategies import systems
 
 
@@ -50,6 +52,25 @@ class TestRealize:
             realize(chain3, trial=-2)
 
 
+def block_chain(rng, n, sensors):
+    """n states in random blocks of 3-10, each block feeding the next
+    through one arc, with single-state sensors on distinct states."""
+    a = []
+    start = 0
+    tail = None
+    while start < n:
+        size = min(n - start, int(rng.integers(3, 11)))
+        block = random_system(rng, size, size, p_lo=0, p_hi=0)
+        a += [(i + start, j + start) for i, j in block.sorted_a()]
+        if tail is not None:
+            a.append((start + int(rng.integers(1, size + 1)), tail))
+        tail = start + int(rng.integers(1, size + 1))
+        start += size
+    states = rng.choice(n, size=sensors, replace=False)
+    h = [(k + 1, int(s) + 1) for k, s in enumerate(states)]
+    return S(n, sensors, a, h)
+
+
 class TestGramianRank:
     def test_chain_full_rank(self, chain3):
         assert gramian_rank(realize(chain3)) == 3
@@ -68,6 +89,15 @@ class TestGramianRank:
     def test_tol_must_be_positive(self, chain3):
         with pytest.raises(ParameterError, match="tol must be positive"):
             gramian_rank(realize(chain3), tol=0)
+
+    def test_no_overcount_on_a_long_block_chain(self):
+        # Re-orthonormalizing the whole stacked basis at every step let
+        # rounding errors grow into spurious directions here: ranks
+        # (100, 100, 110, 100, 100) against an exact generic rank of 87.
+        sys = block_chain(np.random.default_rng(17), 130, 6)
+        exact = exact_krylov_rank(sys.n, sys.sorted_a(), sys.sorted_h())
+        assert exact == 87
+        assert rank_report(sys).gramian_ranks == (exact,) * 5
 
     def test_scale_invariance(self, chain3):
         r = realize(chain3)
@@ -224,11 +254,15 @@ class TestStructuralNumericBridge:
     def test_gramian_rank_bounded_by_structural_rank(self, sys):
         assert gramian_rank(realize(sys)) <= s_rank(sys, include_h=True)
 
+    @given(systems(n_max=7))
+    def test_rank_matches_exact_generic_rank(self, sys):
+        exact = exact_krylov_rank(sys.n, sys.sorted_a(), sys.sorted_h())
+        assert gramian_rank(realize(sys)) == exact
+
     @given(systems(n_max=6))
     def test_iterated_rank_matches_plain_stack_svd(self, sys):
         # on small systems the power stack is well conditioned, so the
         # incremental row-space rank must equal a plain SVD of the stack
-        from obspart._kernels import obs_stack
         from obspart.numeric import _normalized_a, _svd_rank
 
         r = realize(sys)
