@@ -8,7 +8,6 @@ few sensors suffice (:func:`minimal_placement`).  The ``numeric`` module
 cross-checks every structural verdict on random realizations.
 """
 
-from ._kernels import BACKEND, USE_NUMBA
 from .errors import (
     DegenerateStructureError,
     InconsistencyError,
@@ -77,12 +76,10 @@ from .scc import (
     decompose,
 )
 from .structure import (
-    BipartiteGraph,
     StructuredSystem,
-    SystemDigraph,
+    SystemGraph,
     build_bipartite,
     build_digraph,
-    reverse_reachable,
 )
 
 __version__ = "0.1.0"
@@ -91,14 +88,11 @@ __all__ = [
     "ALPHA",
     "BETA",
     "GAMMA",
-    "BACKEND",
-    "USE_NUMBA",
     "DEFAULT_SEED",
     "DEFAULT_TOL",
     "DEFAULT_TRIALS",
     "SCHEMA_VERSION",
     "AuxiliaryGraph",
-    "BipartiteGraph",
     "Contraction",
     "DegenerateStructureError",
     "InconsistencyError",
@@ -114,7 +108,7 @@ __all__ = [
     "RankReport",
     "SccDecomposition",
     "StructuredSystem",
-    "SystemDigraph",
+    "SystemGraph",
     "TheoremCheck",
     "accessibility_check",
     "block_form_certificate",
@@ -143,7 +137,6 @@ __all__ = [
     "realize",
     "render_report",
     "report_dict",
-    "reverse_reachable",
     "s_rank",
     "system_contractions",
     "system_from_dict",

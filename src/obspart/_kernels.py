@@ -1,41 +1,12 @@
 """Array kernels for the hot graph loops.
 
-Every kernel is written once, against plain numpy arrays, and compiled with
-numba when available.  Set ``OBSPART_NUMBA=0`` to force the pure-numpy path
-(the same function objects run uncompiled, so results are identical bit for
-bit).  Graphs are passed in CSR form: ``indptr`` of length ``n+1`` and
-``indices`` holding neighbor ids, sorted ascending within each row — the
-sort is what makes matching tie-breaks deterministic.
+Each kernel works on plain numpy arrays.  Graphs are passed in CSR form:
+``indptr`` of length ``n+1`` and ``indices`` holding neighbor ids, sorted
+ascending within each row — the sort is what makes matching tie-breaks
+deterministic.
 """
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("OBSPART_NUMBA", "").strip().lower()
-    if flag in ("0", "false", "off", "no"):
-        return False
-    return _HAVE_NUMBA
-
-
-USE_NUMBA = _numba_requested()
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-def _speed_up(func):
-    """Compile ``func`` with numba unless the numpy backend was selected."""
-    if USE_NUMBA:
-        return numba.njit(func, cache=True)
-    return func
 
 
 def csr_from_edges(n_nodes, edges):
@@ -65,10 +36,6 @@ def hopcroft_karp(indptr, indices, n_begin, n_end):
     nodes carry -1.  Begin nodes are scanned in ascending order and
     adjacency rows are pre-sorted, so the matching is deterministic.
     """
-    return _hk_kernel(indptr, indices, n_begin, n_end)
-
-
-def _hk_kernel_impl(indptr, indices, n_begin, n_end):
     inf = n_begin + n_end + 1
     match_begin = np.full(n_begin, -1, np.int64)
     match_end = np.full(n_end, -1, np.int64)
@@ -156,10 +123,6 @@ def tarjan_scc(indptr, indices, n):
     component a to component b (a != b) then comp_id[b] < comp_id[a],
     i.e. ascending id is a sinks-first topological order.
     """
-    return _tarjan_kernel(indptr, indices, n)
-
-
-def _tarjan_kernel_impl(indptr, indices, n):
     order = np.full(n, -1, np.int64)
     low = np.zeros(n, np.int64)
     on_stack = np.zeros(n, np.uint8)
@@ -218,10 +181,6 @@ def _tarjan_kernel_impl(indptr, indices, n):
 
 def reachable(indptr, indices, n, seeds):
     """Forward BFS closure; ``seeds`` is a uint8 mask, result likewise."""
-    return _reach_kernel(indptr, indices, n, seeds)
-
-
-def _reach_kernel_impl(indptr, indices, n, seeds):
     mask = np.zeros(n, np.uint8)
     queue = np.empty(n, np.int64)
     qt = 0
@@ -241,8 +200,3 @@ def _reach_kernel_impl(indptr, indices, n, seeds):
                 queue[qt] = v
                 qt += 1
     return mask
-
-
-_hk_kernel = _speed_up(_hk_kernel_impl)
-_tarjan_kernel = _speed_up(_tarjan_kernel_impl)
-_reach_kernel = _speed_up(_reach_kernel_impl)

@@ -36,15 +36,13 @@ from .io import (
     verify_dict,
 )
 from .numeric import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, rank_report
-from .partition import partition_report, theorem_check
+from .partition import ALL_WITNESS_LIMIT, partition_report, theorem_check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_DISAGREEMENT = 4
-
-ALL_WITNESS_STATE_LIMIT = 15
 
 
 def _default_seed():
@@ -121,8 +119,8 @@ def build_parser():
                       help="states that may not carry a sensor (repeatable, "
                            "comma separated)")
     p_pl.add_argument("--all-witnesses", action="store_true",
-                      help=f"enumerate every minimal placement "
-                           f"(n <= {ALL_WITNESS_STATE_LIMIT})")
+                      help=f"enumerate every minimal placement (at most "
+                           f"{ALL_WITNESS_LIMIT} candidate states)")
 
     p_ve = sub.add_parser("verify", help="compare structural and numeric verdicts")
     _add_common(p_ve)
@@ -167,11 +165,6 @@ def cmd_place(args):
     seed = _seed_of(args)
     system, names = _load(args.path)
     forbidden = _parse_forbid(args.forbid)
-    if args.all_witnesses and system.n > ALL_WITNESS_STATE_LIMIT:
-        raise ParameterError(
-            f"--all-witnesses supports n <= {ALL_WITNESS_STATE_LIMIT}, "
-            f"got n = {system.n}"
-        )
     check = theorem_check(system)
     part = partition_report(system, forbid=forbidden,
                             all_witnesses=args.all_witnesses)

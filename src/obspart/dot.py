@@ -51,7 +51,6 @@ def export_dot(sys, color_by="alpha", names=None):
     if names is not None and len(names) != sys.n:
         raise ParameterError(f"names must list all {sys.n} states")
     fills = _fills(sys, color_by)
-    dg = build_digraph(sys)
 
     lines = ["digraph system {"]
     lines.append("  rankdir=LR;")
@@ -65,7 +64,11 @@ def export_dot(sys, color_by="alpha", names=None):
         lines.append(f'  "x{i}"{suffix};')
     for i in range(1, sys.p + 1):
         lines.append(f'  "y{i}" [shape=box];')
-    for src, dst in sorted(dg.edges):
+    arcs = sorted(
+        (f"x{b}", f"x{e}" if e <= sys.n else f"y{e - sys.n}")
+        for b, e in build_digraph(sys).edges
+    )
+    for src, dst in arcs:
         lines.append(f'  "{src}" -> "{dst}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,12 +15,12 @@ import numpy as np
 
 from ._kernels import csr_from_edges, hopcroft_karp, reachable
 from .errors import DegenerateStructureError, InconsistencyError
-from .structure import BipartiteGraph, build_bipartite, build_digraph
+from .structure import build_digraph
 
 
 @dataclass(frozen=True)
 class Matching:
-    """A matching on a BipartiteGraph, edges in (begin, end) lexical order."""
+    """A matching on a SystemGraph, edges in (begin, end) lexical order."""
 
     edges: tuple
     unmatched_begin: tuple  # begin state numbers with no matched edge
@@ -32,8 +32,7 @@ class Matching:
 
 def maximum_matching(bg):
     """Deterministic maximum matching (Hopcroft-Karp over sorted adjacency)."""
-    indptr, indices = bg.csr()
-    match_begin, _ = hopcroft_karp(indptr, indices, bg.n_begin, bg.n_end)
+    match_begin, _ = hopcroft_karp(bg.indptr, bg.indices, bg.n_begin, bg.n_end)
     edges = []
     unmatched = []
     for b in range(bg.n_begin):
@@ -48,8 +47,7 @@ def s_rank(sys, include_h=False):
     """Structural rank of A, or of the stacked [A; H] with ``include_h``."""
     if not include_h:
         sys = sys.without_measurements()
-    bg = build_bipartite(build_digraph(sys))
-    return maximum_matching(bg).size
+    return maximum_matching(build_digraph(sys)).size
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,8 @@ class AuxiliaryGraph:
 
 def build_auxiliary(bg, m):
     """Orient ``bg`` around matching ``m``; m must be a matching of bg."""
-    pair_set = set(bg.edges)
+    pairs = bg.edges
+    pair_set = set(pairs)
     seen_begin = set()
     seen_end = set()
     matched = set()
@@ -88,7 +87,7 @@ def build_auxiliary(bg, m):
         seen_end.add(e)
         matched.add((b, e))
     arcs = []
-    for (b, e) in bg.edges:
+    for (b, e) in pairs:
         bi = b - 1
         ei = bg.n + e - 1
         if (b, e) in matched:
@@ -149,8 +148,8 @@ def contractions(aux, m):
 
 
 def system_contractions(sys):
-    """Pipeline convenience: contractions of a system's bipartite graph."""
-    bg = build_bipartite(build_digraph(sys))
+    """Pipeline convenience: contractions of a system's graph."""
+    bg = build_digraph(sys)
     m = maximum_matching(bg)
     aux = build_auxiliary(bg, m)
     return contractions(aux, m)

@@ -67,8 +67,7 @@ def theorem_check(sys):
     When both conditions fail, accessibility is the reported reason —
     it is the cheaper one to explain and to fix.
     """
-    dg = build_digraph(sys)
-    _, inaccessible = accessibility_check(dg)
+    _, inaccessible = accessibility_check(build_digraph(sys))
     rank = s_rank(sys, include_h=True)
     if inaccessible:
         failed = "accessibility"
@@ -237,6 +236,12 @@ def classify_measurements(sys):
     classes, lowest row index first — so exactly one row is designated
     per class it is the first to reach; the rest are gamma.
     """
+    row_states = _row_states(sys)
+    return _label_rows(row_states, *equivalence_classes(sys))
+
+
+def _row_states(sys):
+    """{row: set of measured states}, rejecting rows that measure none."""
     if sys.p == 0:
         raise PreconditionError("classification requires at least one measurement row")
     row_states = {}
@@ -245,19 +250,21 @@ def classify_measurements(sys):
         if not states:
             raise MalformedInputError(f"measurement row {row} measures no state")
         row_states[row] = set(states)
+    return row_states
 
-    alpha, beta = equivalence_classes(sys)
+
+def _label_rows(row_states, alpha, beta):
     labels = {row: GAMMA for row in row_states}
     taken = set()
     for family, classes in ((ALPHA, alpha), (BETA, beta)):
         for cls in classes:
             members = set(cls)
-            for row in range(1, sys.p + 1):
+            for row in row_states:
                 if row not in taken and row_states[row] & members:
                     labels[row] = family
                     taken.add(row)
                     break
-    return tuple(labels[row] for row in range(1, sys.p + 1))
+    return tuple(labels.values())
 
 
 def is_necessary(sys, row):
@@ -275,11 +282,10 @@ def is_necessary(sys, row):
 
 def partition_report(sys, forbid=(), all_witnesses=False):
     """Full structural report: classes, row labels, minimal placements."""
-    alpha, beta = equivalence_classes(sys)
-    if forbid:
-        alpha, beta = forbid_states(alpha, beta, forbid)
+    classes = equivalence_classes(sys)
+    alpha, beta = forbid_states(*classes, forbid) if forbid else classes
     sets, count = minimal_placement(alpha, beta, sys=sys, all_witnesses=all_witnesses)
-    labels = classify_measurements(sys) if sys.p else ()
+    labels = _label_rows(_row_states(sys), *classes) if sys.p else ()
     return PartitionReport(
         alpha_classes=alpha,
         beta_classes=beta,

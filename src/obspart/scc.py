@@ -11,9 +11,11 @@ through a self-loop).
 
 from dataclasses import dataclass
 
-from ._kernels import csr_from_edges, hopcroft_karp, tarjan_scc
+import numpy as np
+
+from ._kernels import csr_from_edges, hopcroft_karp, reachable, tarjan_scc
 from .errors import InconsistencyError, PreconditionError
-from .structure import build_digraph, measurement_node, reverse_reachable
+from .structure import build_digraph
 
 
 @dataclass(frozen=True)
@@ -34,52 +36,40 @@ class SccDecomposition:
 
 
 def decompose(dg):
-    """SCC decomposition of the state part of a system digraph."""
+    """SCC decomposition of the state part of a system graph."""
     n = dg.n
-    state_edges = sorted(
-        (dg.node_index(s), dg.node_index(d))
-        for s, d in dg.edges
-        if d.startswith("x")
-    )
-    indptr, indices = csr_from_edges(n, state_edges)
-    comp_raw, n_comp = tarjan_scc(indptr, indices, n)
+    src, dst = dg.arcs()
+    states = dst < n
+    src, dst = src[states], dst[states]
+    comp_raw, n_comp = tarjan_scc(*csr_from_edges(n, np.column_stack([src, dst])), n)
 
-    groups = [[] for _ in range(n_comp)]
-    for state0 in range(n):
-        groups[comp_raw[state0]].append(state0 + 1)
-    order = sorted(range(n_comp), key=lambda c: groups[c][0])
-    components = tuple(tuple(groups[old]) for old in order)
-    comp_of = {}
-    for idx, comp in enumerate(components):
-        for s in comp:
-            comp_of[s] = idx
+    # States are scanned in ascending order, so a component first shows up
+    # at its lowest member: insertion order is the sorted order.
+    groups = {}
+    for state, c in enumerate(comp_raw.tolist(), start=1):
+        groups.setdefault(c, []).append(state)
+    components = tuple(tuple(members) for members in groups.values())
+    renumber = np.empty(n_comp, np.int64)
+    renumber[list(groups)] = np.arange(n_comp)
+    comp = renumber[comp_raw]
 
-    cond = set()
-    is_parent = [True] * n_comp
-    for src0, dst0 in state_edges:
-        cs = comp_of[src0 + 1]
-        cd = comp_of[dst0 + 1]
-        if cs != cd:
-            cond.add((cs, cd))
-            is_parent[cs] = False
+    cs, cd = comp[src], comp[dst]
+    cross = cs != cd
+    is_parent = np.ones(n_comp, bool)
+    is_parent[cs[cross]] = False
 
-    matched = []
-    for comp in components:
-        local = {s: i for i, s in enumerate(comp)}
-        internal = []
-        for src0, dst0 in state_edges:
-            src, dst = src0 + 1, dst0 + 1
-            if src in local and dst in local:
-                internal.append((local[src], local[dst]))
-        bp, bi = csr_from_edges(len(comp), sorted(internal))
-        match_begin, _ = hopcroft_karp(bp, bi, len(comp), len(comp))
-        matched.append(bool((match_begin >= 0).all()))
+    # Intra-component arcs form a block-diagonal bipartite graph, so one
+    # maximum matching is maximum on every block: a component has a
+    # perfect matching iff all of its states are matched.
+    internal = csr_from_edges(n, np.column_stack([src[~cross], dst[~cross]]))
+    match_begin, _ = hopcroft_karp(*internal, n, n)
+    short = np.bincount(comp[match_begin < 0], minlength=n_comp)
 
     return SccDecomposition(
         components=components,
-        parent_flags=tuple(is_parent),
-        matched_flags=tuple(matched),
-        order=tuple(sorted(cond)),
+        parent_flags=tuple(is_parent.tolist()),
+        matched_flags=tuple((short == 0).tolist()),
+        order=tuple(sorted(set(zip(cs[cross].tolist(), cd[cross].tolist())))),
     )
 
 
@@ -88,14 +78,18 @@ def accessibility_check(dg):
 
     Returns ``(accessible, inaccessible)``, both ascending tuples.
     """
-    targets = [measurement_node(i) for i in range(1, dg.p + 1)]
-    if not targets:
+    if dg.p == 0:
         return (), tuple(range(1, dg.n + 1))
-    can_reach = reverse_reachable(dg, targets)
+    n_nodes = dg.n + dg.p
+    src, dst = dg.arcs()
+    seeds = np.zeros(n_nodes, np.uint8)
+    seeds[dg.n:] = 1
+    mask = reachable(*csr_from_edges(n_nodes, np.column_stack([dst, src])),
+                     n_nodes, seeds)
     accessible = []
     inaccessible = []
     for i in range(1, dg.n + 1):
-        (accessible if f"x{i}" in can_reach else inaccessible).append(i)
+        (accessible if mask[i - 1] else inaccessible).append(i)
     return tuple(accessible), tuple(inaccessible)
 
 

@@ -1,28 +1,26 @@
-"""Sparsity patterns and the graphs derived from them.
+"""Sparsity patterns and the graph derived from them.
 
 A system is described purely by which entries of the state matrix A (n x n)
 and the measurement matrix H (p x n) may be nonzero.  Entries are 1-based
-(row, column) pairs, matching the on-disk format.  From the pattern we build
+(row, column) pairs, matching the on-disk format.  Every structural layer
+reads one integer graph per system, built on first use and cached:
 
-* the system digraph: state nodes ``x1..xn``, measurement nodes ``y1..yp``,
-  with an arc ``xj -> xi`` for each (i, j) in the A pattern and
-  ``xj -> yi`` for each (i, j) in the H pattern (an entry a_ij means state
-  j drives state i), and
-* its bipartite companion: every state appears as a *begin* node, every
-  state and measurement as an *end* node, and each digraph arc v -> w
-  becomes the undirected pair (v+, w-).  Maximum matchings on this graph
-  compute structural ranks.
+* each A entry (i, j) becomes the pair (j, i), since state j drives state i;
+* each H entry (i, j) becomes the pair (j, n + i), state j feeding
+  measurement i.
 
-Begin nodes are identified by state number (1..n).  End nodes use a single
-integer range 1..n+p: values up to n are state ends, the rest are
-measurement ends (``end_label`` renders them as ``x3`` / ``y1``).
+Pairs are (state, end) with ends in one range 1..n+p: values up to n are
+states, the rest measurements.  Read as arcs, the pairs are the system
+digraph; read as (begin, end) pairs, they are its bipartite companion,
+whose maximum matchings compute structural ranks.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._kernels import csr_from_edges, reachable
+from ._kernels import csr_from_edges
 from .errors import MalformedInputError
 
 
@@ -121,82 +119,40 @@ class StructuredSystem:
         )
 
     def without_measurements(self):
-        """The bare state pattern: every measurement row dropped."""
+        """The bare state pattern: every measurement row dropped.
+
+        Built once per system, so every layer shares the bare graph.
+        """
+        return self if self.p == 0 else self._bare
+
+    @cached_property
+    def _bare(self):
         return StructuredSystem(n=self.n, p=0, a_pattern=self.a_pattern)
 
-
-def state_node(i):
-    return f"x{i}"
-
-
-def measurement_node(i):
-    return f"y{i}"
-
-
-def end_label(sys_or_n, end):
-    """Render a unified end id (1..n+p) as ``x<i>`` or ``y<i>``."""
-    n = sys_or_n if isinstance(sys_or_n, int) else sys_or_n.n
-    return state_node(end) if end <= n else measurement_node(end - n)
+    @cached_property
+    def graph(self):
+        """The system's SystemGraph, built on first use."""
+        pairs = [(j - 1, i - 1) for (i, j) in self.a_pattern]
+        pairs += [(j - 1, self.n + i - 1) for (i, j) in self.h_pattern]
+        indptr, indices = csr_from_edges(self.n, pairs)
+        # Every layer shares these arrays, so none may write to them.
+        indptr.flags.writeable = indices.flags.writeable = False
+        return SystemGraph(n=self.n, p=self.p, indptr=indptr, indices=indices)
 
 
-@dataclass(frozen=True)
-class SystemDigraph:
-    """Directed influence graph over labeled state/measurement nodes."""
+@dataclass(frozen=True, eq=False)
+class SystemGraph:
+    """The pairs of [A; H] as a CSR, shared by every structural layer.
 
-    n: int
-    p: int
-    edges: tuple  # ((src_label, dst_label), ...) sorted
-
-    @property
-    def state_nodes(self):
-        return tuple(state_node(i) for i in range(1, self.n + 1))
-
-    @property
-    def measurement_nodes(self):
-        return tuple(measurement_node(i) for i in range(1, self.p + 1))
-
-    @property
-    def nodes(self):
-        return self.state_nodes + self.measurement_nodes
-
-    def node_index(self, label):
-        """Unified 0-based index: states first, then measurements."""
-        if isinstance(label, str) and len(label) > 1:
-            kind, digits = label[0], label[1:]
-            if digits.isdigit():
-                i = int(digits)
-                if kind == "x" and 1 <= i <= self.n:
-                    return i - 1
-                if kind == "y" and 1 <= i <= self.p:
-                    return self.n + i - 1
-        raise MalformedInputError(f"unknown node id {label!r}")
-
-    def int_edges(self):
-        return [(self.node_index(s), self.node_index(d)) for s, d in self.edges]
-
-
-def build_digraph(sys):
-    """System digraph of a sparsity pattern; one arc per pattern entry."""
-    edges = []
-    for (i, j) in sorted(sys.a_pattern, key=lambda e: (e[1], e[0])):
-        edges.append((state_node(j), state_node(i)))
-    for (i, j) in sorted(sys.h_pattern, key=lambda e: (e[1], e[0])):
-        edges.append((state_node(j), measurement_node(i)))
-    return SystemDigraph(n=sys.n, p=sys.p, edges=tuple(edges))
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Begin/end split of a system digraph for matching computations.
-
-    ``edges`` holds (begin_state, end_id) pairs in (begin, end) lexical
-    order; begin_state is a 1-based state number, end_id runs over the
-    unified 1..n+p end range.
+    ``indptr`` and ``indices`` hold the 0-based pairs: one row per state,
+    ends ascending within a row.  Only the two arrays are kept, because a
+    graph lives as long as its system.
     """
 
     n: int
     p: int
-    edges: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def n_begin(self):
@@ -206,31 +162,27 @@ class BipartiteGraph:
     def n_end(self):
         return self.n + self.p
 
-    def csr(self):
-        """0-based CSR adjacency from begin nodes to end nodes."""
-        zero_based = [(b - 1, e - 1) for (b, e) in self.edges]
-        return csr_from_edges(self.n_begin, zero_based)
+    @property
+    def edges(self):
+        """The 1-based (state, end) pairs in lexical order."""
+        src, dst = self.arcs()
+        return tuple(zip((src + 1).tolist(), (dst + 1).tolist()))
+
+    def arcs(self):
+        """0-based (state, end) index arrays, in pair order."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
 
 
-def build_bipartite(dg):
-    """Bipartite companion of a digraph: arc v->w becomes pair (v+, w-)."""
-    pairs = set()
-    for src, dst in dg.edges:
-        begin = int(src[1:])  # arcs always leave a state node
-        di = dg.node_index(dst)
-        pairs.add((begin, di + 1))
-    return BipartiteGraph(n=dg.n, p=dg.p, edges=tuple(sorted(pairs)))
+def build_digraph(sys):
+    """The system's graph: one pair per pattern entry, built once."""
+    return sys.graph
 
 
-def reverse_reachable(dg, targets):
-    """All nodes with a directed path into ``targets`` (targets included)."""
-    target_idx = [dg.node_index(t) for t in targets]
-    n_nodes = dg.n + dg.p
-    reversed_edges = [(d, s) for (s, d) in dg.int_edges()]
-    indptr, indices = csr_from_edges(n_nodes, reversed_edges)
-    seeds = np.zeros(n_nodes, dtype=np.uint8)
-    for t in target_idx:
-        seeds[t] = 1
-    mask = reachable(indptr, indices, n_nodes, seeds)
-    labels = dg.nodes
-    return frozenset(labels[i] for i in range(n_nodes) if mask[i])
+def build_bipartite(g):
+    """The bipartite companion of ``g``, which is ``g`` itself.
+
+    One SystemGraph serves as both the digraph and its companion.  The
+    function stays because the acceptance tests still compose
+    ``build_bipartite(build_digraph(sys))``.
+    """
+    return g

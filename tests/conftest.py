@@ -4,7 +4,8 @@ from hypothesis import HealthCheck, settings
 
 from obspart import StructuredSystem, random_partitionable_system
 
-# JIT warm-up on first kernel use makes per-example deadlines meaningless.
+# The interpreted graph kernels and the numeric oracle make per-example
+# times vary too widely for a deadline.
 settings.register_profile(
     "obspart",
     deadline=None,

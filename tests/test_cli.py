@@ -160,7 +160,16 @@ class TestPlace:
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(["place", str(path), "--all-witnesses"], capsys)
         assert code == 2
-        assert "n <= 15" in err
+        assert "at most 15" in err
+
+    def test_all_witnesses_counts_candidates_not_states(self, tmp_path, capsys):
+        # A 16-state chain has one candidate state, its sink.
+        doc = {"n": 16, "p": 0, "a": [[i + 1, i] for i in range(1, 16)], "h": []}
+        path = tmp_path / "chain16.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["place", str(path), "--all-witnesses"], capsys)
+        assert code == 0
+        assert json.loads(out)["minimal_sets"] == [[16]]
 
 
 class TestVerify:
@@ -253,3 +262,24 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["observable"] is True
+
+
+class TestImportFootprint:
+    def test_analyze_imports_neither_scipy_nor_numba(self, chain_path):
+        # Start-up time and peak memory are part of every CLI call; an eager
+        # import of scipy or numba would at least double both.
+        script = (
+            "import contextlib, io, sys\n"
+            "import obspart.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = obspart.cli.main(['analyze', sys.argv[1]])\n"
+            "heavy = sorted(m for m in sys.modules\n"
+            "               if m.split('.')[0] in ('scipy', 'numba'))\n"
+            "print(code, heavy)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, chain_path],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"

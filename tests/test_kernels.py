@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -7,10 +6,6 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from obspart import _kernels as K
 from oracles import bfs_reach, brute_sccs
-
-pure = pytest.mark.skipif(
-    not K.USE_NUMBA, reason="backend already runs the pure-python path"
-)
 
 
 def random_bipartite(rng, n_begin, n_end, n_edges):
@@ -119,47 +114,3 @@ class TestReachable:
         mask = K.reachable(*K.csr_from_edges(n, sorted(arcs)), n, seeds)
         assert {v for v in range(n) if mask[v]} == bfs_reach(n, arcs, seed_nodes)
 
-
-class TestBackendParity:
-    """The compiled kernels and their pure-python originals must agree."""
-
-    @pure
-    def test_hopcroft_karp_py_func(self):
-        rng = np.random.default_rng(23)
-        for _ in range(25):
-            nb = int(rng.integers(1, 10))
-            ne = int(rng.integers(1, 10))
-            edges = random_bipartite(rng, nb, ne, 2 * nb)
-            indptr, indices = K.csr_from_edges(nb, edges)
-            jit_b, jit_e = K._hk_kernel(indptr, indices, nb, ne)
-            py_b, py_e = K._hk_kernel.py_func(indptr, indices, nb, ne)
-            assert jit_b.tolist() == py_b.tolist()
-            assert jit_e.tolist() == py_e.tolist()
-
-    @pure
-    def test_tarjan_py_func(self):
-        rng = np.random.default_rng(29)
-        for _ in range(25):
-            n = int(rng.integers(1, 10))
-            arcs = random_bipartite(rng, n, n, 2 * n)
-            indptr, indices = K.csr_from_edges(n, arcs)
-            jit_comp, jit_n = K._tarjan_kernel(indptr, indices, n)
-            py_comp, py_n = K._tarjan_kernel.py_func(indptr, indices, n)
-            assert jit_comp.tolist() == py_comp.tolist()
-            assert jit_n == py_n
-
-    @pure
-    def test_reachable_py_func(self):
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            n = int(rng.integers(1, 10))
-            arcs = random_bipartite(rng, n, n, 2 * n)
-            indptr, indices = K.csr_from_edges(n, arcs)
-            seeds = (rng.random(n) < 0.3).astype(np.uint8)
-            jit = K._reach_kernel(indptr, indices, n, seeds)
-            py = K._reach_kernel.py_func(indptr, indices, n, seeds)
-            assert jit.tolist() == py.tolist()
-
-    def test_backend_flag_is_reported(self):
-        assert K.BACKEND in ("numba", "numpy")
-        assert K.USE_NUMBA == (K.BACKEND == "numba")

@@ -4,9 +4,9 @@ from hypothesis import given
 from obspart import (
     MalformedInputError,
     StructuredSystem,
+    accessibility_check,
     build_bipartite,
     build_digraph,
-    reverse_reachable,
 )
 from conftest import S
 from strategies import systems
@@ -71,39 +71,39 @@ class TestDigraph:
     def test_a_entry_direction(self):
         # entry (i, j) means state j drives state i
         dg = build_digraph(S(2, 0, [(2, 1)]))
-        assert dg.edges == (("x1", "x2"),)
+        assert dg.edges == ((1, 2),)
 
     def test_h_entry_direction(self):
+        # measurement k is end n + k
         dg = build_digraph(S(2, 1, [], [(1, 2)]))
-        assert dg.edges == (("x2", "y1"),)
+        assert dg.edges == ((2, 3),)
 
     def test_self_loop(self):
         dg = build_digraph(S(1, 0, [(1, 1)]))
-        assert dg.edges == (("x1", "x1"),)
+        assert dg.edges == ((1, 1),)
 
     def test_edge_count_matches_pattern(self, fix15):
         dg = build_digraph(fix15)
         assert len(dg.edges) == len(fix15.a_pattern) + len(fix15.h_pattern)
 
-    def test_node_index_unknown(self):
-        dg = build_digraph(S(2, 1, [], [(1, 1)]))
-        for bad in ("x3", "y2", "z1", "x0", "x", 5):
-            with pytest.raises(MalformedInputError, match="unknown node id"):
-                dg.node_index(bad)
+    def test_built_once_per_system(self, chain3):
+        assert build_digraph(chain3) is build_digraph(chain3)
+        bare = chain3.without_measurements()
+        assert build_digraph(bare) is build_digraph(chain3.without_measurements())
 
     @given(systems())
     def test_round_trip_patterns(self, sys):
         dg = build_digraph(sys)
         a_back = set()
         h_back = set()
-        for src, dst in dg.edges:
-            j = int(src[1:])
-            if dst.startswith("x"):
-                a_back.add((int(dst[1:]), j))
+        for state, end in dg.edges:
+            if end <= sys.n:
+                a_back.add((end, state))
             else:
-                h_back.add((int(dst[1:]), j))
+                h_back.add((end - sys.n, state))
         assert a_back == set(sys.a_pattern)
         assert h_back == set(sys.h_pattern)
+        assert list(dg.edges) == sorted(dg.edges)
 
     @given(systems())
     def test_edge_count_invariant(self, sys):
@@ -132,22 +132,11 @@ class TestBipartite:
 
 
 class TestReverseReachable:
+    """Accessibility is reachability backwards from the measurements."""
+
     def test_chain_to_sensor(self, chain3):
-        dg = build_digraph(chain3)
-        assert reverse_reachable(dg, ["y1"]) == frozenset({"x1", "x2", "x3", "y1"})
+        assert accessibility_check(build_digraph(chain3)) == ((1, 2, 3), ())
 
     def test_isolated(self):
-        dg = build_digraph(S(2, 0, []))
-        assert reverse_reachable(dg, ["x1"]) == frozenset({"x1"})
-
-    def test_unknown_target(self):
-        dg = build_digraph(S(2, 0, []))
-        with pytest.raises(MalformedInputError):
-            reverse_reachable(dg, ["y1"])
-
-    @given(systems(n_max=6))
-    def test_monotone_in_targets(self, sys):
-        dg = build_digraph(sys)
-        small = reverse_reachable(dg, ["x1"])
-        big = reverse_reachable(dg, ["x1", f"x{sys.n}"])
-        assert small <= big
+        dg = build_digraph(S(2, 1, [], [(1, 1)]))
+        assert accessibility_check(dg) == ((1,), (2,))
