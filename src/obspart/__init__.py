@@ -31,10 +31,8 @@ from .io import (
     verify_dict,
 )
 from .matching import (
-    AuxiliaryGraph,
     Contraction,
     Matching,
-    build_auxiliary,
     contractions,
     maximum_matching,
     s_rank,
@@ -92,7 +90,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_TRIALS",
     "SCHEMA_VERSION",
-    "AuxiliaryGraph",
     "Contraction",
     "DegenerateStructureError",
     "InconsistencyError",
@@ -112,7 +109,6 @@ __all__ = [
     "TheoremCheck",
     "accessibility_check",
     "block_form_certificate",
-    "build_auxiliary",
     "build_bipartite",
     "build_digraph",
     "classify_measurements",

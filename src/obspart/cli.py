@@ -15,6 +15,7 @@ infeasible or out-of-domain structure; 4 verify disagreement.
 """
 
 import argparse
+import math
 import os
 import sys as _sys
 
@@ -64,7 +65,7 @@ def _load(path):
     return load_system(path)
 
 
-def _parse_forbid(values):
+def _parse_forbid(values, n):
     states = set()
     for chunk in values:
         for piece in chunk.replace(",", " ").split():
@@ -76,6 +77,8 @@ def _parse_forbid(values):
                 ) from None
             if state < 1:
                 raise ParameterError(f"--forbid takes positive states, got {state}")
+            if state > n:
+                raise ParameterError(f"--forbid state {state} out of range for n={n}")
             states.add(state)
     return states
 
@@ -142,7 +145,7 @@ def _check_numeric_args(args):
         raise ParameterError(f"--seed must be non-negative, got {args.seed}")
     if args.trials < 1:
         raise ParameterError(f"--trials must be at least 1, got {args.trials}")
-    if args.tol <= 0:
+    if not (math.isfinite(args.tol) and args.tol > 0):
         raise ParameterError(f"--tol must be positive, got {args.tol}")
 
 
@@ -164,7 +167,7 @@ def cmd_place(args):
     _check_numeric_args(args)
     seed = _seed_of(args)
     system, names = _load(args.path)
-    forbidden = _parse_forbid(args.forbid)
+    forbidden = _parse_forbid(args.forbid, system.n)
     check = theorem_check(system)
     part = partition_report(system, forbid=forbidden,
                             all_witnesses=args.all_witnesses)
@@ -213,8 +216,12 @@ def main(argv=None):
     except (InfeasiblePlacementError, DegenerateStructureError) as exc:
         print(f"obspart: infeasible: {exc}", file=_sys.stderr)
         return EXIT_INFEASIBLE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"obspart: error: {exc}", file=_sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"obspart: error: {args.path} is not UTF-8 text: {exc}",
+              file=_sys.stderr)
         return EXIT_INPUT
     except ObspartError as exc:
         # Inconsistency/numeric failures: report and use the input code —

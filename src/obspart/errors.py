@@ -24,15 +24,17 @@ class InconsistencyError(ObspartError):
 class DegenerateStructureError(ObspartError):
     """The sparsity structure falls outside the partition theory's domain.
 
-    Raised when two unmatched seeds produce partially overlapping member
-    sets, i.e. some deficient component of the bipartite graph is short by
-    two or more nodes.  No class decomposition with one class per missing
-    rank exists for such inputs.
+    Raised when the alternating searches of two unmatched seeds reach a
+    common state, i.e. some deficient component of the bipartite graph is
+    short by two or more nodes.  No class decomposition with one class per
+    missing rank exists for such inputs.  ``overlaps`` holds the sorted
+    (seed_a, seed_b) pairs of 1-based seeds, seed_a < seed_b, whose
+    searches met, at least one pair per degenerate component; the message
+    counts them and names the first three.
     """
 
     def __init__(self, message, overlaps=()):
         super().__init__(message)
-        # [(seed_a, members_a, seed_b, members_b), ...] with 1-based states
         self.overlaps = tuple(overlaps)
 
 

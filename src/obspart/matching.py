@@ -3,20 +3,20 @@
 The structural rank of [A; H] equals the size of a maximum matching on the
 bipartite companion graph.  When the matching leaves begin nodes uncovered,
 each uncovered node seeds a *contraction*: the set of states that could
-have been the uncovered one under some other maximum matching.  Those sets
-are found on the auxiliary graph, where unmatched pairs keep their
-begin-to-end direction and matched pairs are reversed — walking it from an
-unmatched seed enumerates the begins reachable by alternating paths.
+have been the uncovered one under some other maximum matching, i.e. the
+begins an alternating path reaches from it (the coarse part of the
+Dulmage-Mendelsohn decomposition).  From begin u, every end e in u's row
+leads on to the begin matched to e; one search from all seeds at once
+finds every set.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import csr_from_edges, hopcroft_karp, reachable
-from .errors import DegenerateStructureError, InconsistencyError
+from ._kernels import hopcroft_karp
+from .errors import DegenerateStructureError
 from .structure import build_digraph
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -51,53 +51,6 @@ def s_rank(sys, include_h=False):
 
 
 @dataclass(frozen=True)
-class AuxiliaryGraph:
-    """Directed orientation of a bipartite graph relative to a matching.
-
-    Nodes use one 0-based range: begins are 0..n-1, end node e (1..n+p)
-    sits at n+e-1.  Unmatched pairs point begin -> end, matched pairs
-    end -> begin.
-    """
-
-    n: int
-    p: int
-    arcs: tuple
-
-    @property
-    def n_nodes(self):
-        return 2 * self.n + self.p
-
-    def csr(self):
-        return csr_from_edges(self.n_nodes, self.arcs)
-
-
-def build_auxiliary(bg, m):
-    """Orient ``bg`` around matching ``m``; m must be a matching of bg."""
-    pairs = bg.edges
-    pair_set = set(pairs)
-    seen_begin = set()
-    seen_end = set()
-    matched = set()
-    for (b, e) in m.edges:
-        if (b, e) not in pair_set:
-            raise InconsistencyError(f"matching edge ({b}, {e}) is not in the graph")
-        if b in seen_begin or e in seen_end:
-            raise InconsistencyError(f"matching reuses a node at edge ({b}, {e})")
-        seen_begin.add(b)
-        seen_end.add(e)
-        matched.add((b, e))
-    arcs = []
-    for (b, e) in pairs:
-        bi = b - 1
-        ei = bg.n + e - 1
-        if (b, e) in matched:
-            arcs.append((ei, bi))
-        else:
-            arcs.append((bi, ei))
-    return AuxiliaryGraph(n=bg.n, p=bg.p, arcs=tuple(sorted(arcs)))
-
-
-@dataclass(frozen=True)
 class Contraction:
     """States interchangeable as the uncovered node of one rank deficit."""
 
@@ -106,50 +59,69 @@ class Contraction:
     witness_unmatched: int  # the unmatched begin node that generated the set
 
 
-def contractions(aux, m):
+def _alternating_owners(indptr, indices, match_begin, match_end):
+    """Label each begin with the seed whose alternating search reaches it.
+
+    One breadth-first search runs from every unmatched begin at once, and
+    a begin takes the owner of whichever begin reaches it first.  Returns
+    the owner list (-1 where no seed reaches) and the sorted 0-based
+    (seed, seed) pairs whose searches reach a common begin.  An end
+    reached this way is always matched, or the matching would not be
+    maximum, and no search re-enters a seed, which has no matched edge.
+    """
+    indptr = indptr.tolist()
+    indices = indices.tolist()
+    match_end = match_end.tolist()
+    owner = [-1] * (len(indptr) - 1)
+    queue = np.flatnonzero(match_begin < 0).tolist()
+    for u in queue:
+        owner[u] = u
+    clashes = set()
+    for u in queue:  # the loop also visits the begins appended below
+        mine = owner[u]
+        for k in range(indptr[u], indptr[u + 1]):
+            w = match_end[indices[k]]
+            theirs = owner[w]
+            if theirs < 0:
+                owner[w] = mine
+                queue.append(w)
+            elif theirs != mine:
+                clashes.add((min(mine, theirs), max(mine, theirs)))
+    return owner, sorted(clashes)
+
+
+def contractions(bg):
     """One contraction per unmatched begin node, sorted by lowest member.
 
-    Seeds whose member sets coincide are merged.  Partially overlapping
-    member sets mean some deficient component is short by two or more
-    nodes; no one-set-per-deficit decomposition exists there, so that is
-    reported as DegenerateStructureError rather than guessed around.
+    Two seeds whose searches reach a common state mean some deficient
+    component is short by two or more nodes; no one-set-per-deficit
+    decomposition exists there, so that is reported as
+    DegenerateStructureError rather than guessed around.
     """
-    indptr, indices = aux.csr()
-    merged = {}
-    for seed in m.unmatched_begin:
-        seeds = np.zeros(aux.n_nodes, dtype=np.uint8)
-        seeds[seed - 1] = 1
-        mask = reachable(indptr, indices, aux.n_nodes, seeds)
-        members = tuple(i + 1 for i in range(aux.n) if mask[i])
-        merged.setdefault(members, seed)
-    ordered = sorted(merged.items())
-
-    overlaps = []
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            ma, sa = ordered[i]
-            mb, sb = ordered[j]
-            if set(ma) & set(mb):
-                overlaps.append((sa, ma, sb, mb))
-    if overlaps:
-        pairs = "; ".join(
-            f"seed {sa} -> {list(ma)} vs seed {sb} -> {list(mb)}"
-            for (sa, ma, sb, mb) in overlaps
-        )
+    match_begin, match_end = hopcroft_karp(bg.indptr, bg.indices, bg.n_begin, bg.n_end)
+    owner, clashes = _alternating_owners(bg.indptr, bg.indices, match_begin, match_end)
+    if clashes:
+        overlaps = tuple((a + 1, b + 1) for a, b in clashes)
+        # Name only the first three pairs, so the message stays one short line.
+        shown = ", ".join(f"{a} & {b}" for a, b in overlaps[:3])
+        more = ", ..." if len(overlaps) > 3 else ""
         raise DegenerateStructureError(
-            f"contraction member sets overlap partially ({pairs}); "
-            "a deficient component is short by two or more nodes",
+            f"contraction member sets overlap partially ({len(overlaps)} "
+            f"clashing seed pairs: {shown}{more}); a deficient component "
+            "is short by two or more nodes",
             overlaps=overlaps,
         )
+    members = {}
+    for state, seed in enumerate(owner, start=1):
+        if seed >= 0:
+            members.setdefault(seed + 1, []).append(state)
+    ordered = sorted((tuple(states), seed) for seed, states in members.items())
     return tuple(
-        Contraction(id=idx, members=members, witness_unmatched=seed)
-        for idx, (members, seed) in enumerate(ordered)
+        Contraction(id=idx, members=states, witness_unmatched=seed)
+        for idx, (states, seed) in enumerate(ordered)
     )
 
 
 def system_contractions(sys):
     """Pipeline convenience: contractions of a system's graph."""
-    bg = build_digraph(sys)
-    m = maximum_matching(bg)
-    aux = build_auxiliary(bg, m)
-    return contractions(aux, m)
+    return contractions(build_digraph(sys))

@@ -45,7 +45,7 @@ class NumericRealization:
 
 
 def _check_tol(tol):
-    if not (isinstance(tol, (int, float)) and tol > 0):
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be positive, got {tol!r}")
 
 

@@ -56,6 +56,27 @@ def possible_unmatched_sets(n_begin, edges):
     return out
 
 
+def rank_class_sets(n_begin, edges):
+    """Sorted rank classes by matching swaps, or None when degenerate.
+
+    Fix one maximum matching with unmatched begins U.  The set of u in U
+    is every b for which U - {u} + {b} is the unmatched set of some
+    maximum matching.  The classes are degenerate when two sets meet.
+    """
+    first = all_maximum_matchings(n_begin, edges)[0]
+    unmatched = frozenset(b for b in range(1, n_begin + 1) if b not in first)
+    possible = possible_unmatched_sets(n_begin, edges)
+    sets = [
+        tuple(b for b in range(1, n_begin + 1)
+              if (unmatched - {u}) | {b} in possible)
+        for u in sorted(unmatched)
+    ]
+    for x, y in combinations(sets, 2):
+        if set(x) & set(y):
+            return None
+    return sorted(sets)
+
+
 # ---------------------------------------------------------------------------
 # brute-force numeric observability
 

@@ -74,6 +74,36 @@ class TestAnalyze:
         assert code == 2
         assert "--tol must be positive" in err
 
+    @pytest.mark.parametrize("suffix", [".json", ".mtx"])
+    def test_directory_path(self, tmp_path, capsys, suffix):
+        path = tmp_path / f"dir{suffix}"
+        path.mkdir()
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("obspart: error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("suffix", [".json", ".mtx"])
+    def test_non_utf8_file(self, tmp_path, capsys, suffix):
+        path = tmp_path / f"bytes{suffix}"
+        path.write_bytes(b"\xff\xfe\x00{}")
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("obspart: error:") and err.count("\n") == 1
+        assert "not UTF-8" in err
+
+    def test_degenerate_star_one_short_line(self, tmp_path, capsys):
+        # 200 states all feed state 201: 199 unmatched seeds clash.
+        doc = {"n": 201, "p": 0, "a": [[201, i] for i in range(1, 201)], "h": []}
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert "overlap partially" in err
+        assert err.count("\n") == 1 and len(err) < 500
+
     def test_byte_identical_reruns(self, fix15_path, capsys):
         _, first, _ = run_cli(["analyze", fix15_path], capsys)
         _, second, _ = run_cli(["analyze", fix15_path], capsys)
@@ -149,6 +179,12 @@ class TestPlace:
         assert code == 2
         assert "--forbid takes state numbers" in err
 
+    def test_forbid_rejects_out_of_range(self, chain_path, capsys):
+        code, out, err = run_cli(["place", chain_path, "--forbid", "99"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "obspart: error: --forbid state 99 out of range for n=3\n"
+
     def test_all_witnesses(self, fix15_path, capsys):
         code, out, _ = run_cli(["place", fix15_path, "--all-witnesses"], capsys)
         assert code == 0
@@ -196,6 +232,13 @@ class TestVerify:
         )
         assert code == 4
         assert json.loads(out)["verdicts_agree"] is False
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol(self, chain_path, capsys, tol):
+        code, out, err = run_cli(["verify", chain_path, "--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"obspart: error: --tol must be positive, got {tol}\n"
 
 
 class TestExportDot:

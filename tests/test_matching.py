@@ -4,10 +4,7 @@ from hypothesis import strategies as st
 
 from obspart import (
     DegenerateStructureError,
-    InconsistencyError,
-    Matching,
     StructuredSystem,
-    build_auxiliary,
     build_bipartite,
     build_digraph,
     contractions,
@@ -16,7 +13,7 @@ from obspart import (
     system_contractions,
 )
 from conftest import FIX15_ALPHA, S
-from oracles import all_maximum_matchings, possible_unmatched_sets
+from oracles import all_maximum_matchings, possible_unmatched_sets, rank_class_sets
 from strategies import systems
 
 
@@ -86,35 +83,6 @@ class TestSRank:
         assert s_rank(grown) >= s_rank(sys)
 
 
-class TestAuxiliary:
-    def test_all_unmatched_graph(self, fan3):
-        bg = bipartite_of(fan3)
-        aux = build_auxiliary(bg, Matching(edges=(), unmatched_begin=(1, 2, 3)))
-        # every arc forward: begin b-1 -> end n+e-1
-        assert aux.arcs == ((0, 5), (1, 5))
-
-    def test_matched_edges_reversed(self):
-        sys = S(3, 0, [(2, 1), (3, 2)])
-        bg = bipartite_of(sys)
-        m = maximum_matching(bg)
-        aux = build_auxiliary(bg, m)
-        reversed_arcs = {(bg.n + e - 1, b - 1) for b, e in m.edges}
-        assert reversed_arcs <= set(aux.arcs)
-        assert len(aux.arcs) == len(bg.edges)
-
-    def test_rejects_non_edge(self, fan3):
-        bg = bipartite_of(fan3)
-        with pytest.raises(InconsistencyError, match="not in the graph"):
-            build_auxiliary(bg, Matching(edges=((1, 1),), unmatched_begin=()))
-
-    def test_rejects_reused_node(self):
-        bg = bipartite_of(S(2, 0, [(2, 1), (2, 2)]))
-        with pytest.raises(InconsistencyError, match="reuses a node"):
-            build_auxiliary(
-                bg, Matching(edges=((1, 2), (2, 2)), unmatched_begin=())
-            )
-
-
 class TestContractions:
     def test_fan_two_contractions(self, fan3):
         cons = system_contractions(fan3)
@@ -132,8 +100,10 @@ class TestContractions:
         assert tuple(c.members for c in cons) == FIX15_ALPHA
 
     def test_merged_seeds(self):
-        # x1 and x2 both feed x3 only; x4 isolated: seeds 1,2 merge into one
-        # contraction {1,2}, seeds 3... begin 3 has no edges, begin 4 none.
+        # x1 and x2 both feed x3 only, and x3 and x4 feed nothing.  x1 is
+        # matched to x3, so seed 2 reaches it: one class {1, 2}.  Seeds 3
+        # and 4 have no edges and are classes of their own.  No two seeds
+        # ever share a class, so nothing is merged.
         cons = system_contractions(S(4, 0, [(3, 1), (3, 2)]))
         assert [c.members for c in cons] == [(1, 2), (3,), (4,)]
 
@@ -143,7 +113,29 @@ class TestContractions:
         sys = S(4, 0, [(4, 1), (4, 2), (4, 3)])
         with pytest.raises(DegenerateStructureError, match="overlap partially") as exc:
             system_contractions(sys)
-        assert exc.value.overlaps
+        # x1 takes the one end; seeds 2 and 3 both reach x1, seed 4 nothing.
+        assert exc.value.overlaps == ((2, 3),)
+        assert "1 clashing seed pairs: 2 & 3)" in str(exc.value)
+
+    def test_star_diagnostic_is_bounded(self):
+        # States 1..200 feed state 201 and x1 takes its end.  Seed 2 reaches
+        # x1 first, the 198 seeds after it clash with seed 2, and the
+        # message names only the first three pairs.
+        sys = S(201, 0, [(201, i) for i in range(1, 201)])
+        with pytest.raises(DegenerateStructureError) as exc:
+            contractions(build_digraph(sys))
+        assert exc.value.overlaps == tuple((2, s) for s in range(3, 201))
+        assert "198 clashing seed pairs: 2 & 3, 2 & 4, 2 & 5, ...)" in str(exc.value)
+
+    @given(systems(n_max=6, allow_h=False))
+    def test_matches_brute_force_classes(self, sys):
+        bg = bipartite_of(sys)
+        expected = rank_class_sets(bg.n_begin, bg.edges)
+        if expected is None:
+            with pytest.raises(DegenerateStructureError):
+                system_contractions(sys)
+        else:
+            assert [c.members for c in system_contractions(sys)] == expected
 
     def test_members_union_is_possible_unmatched(self, fix15):
         bg = bipartite_of(fix15)

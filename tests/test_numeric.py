@@ -90,6 +90,11 @@ class TestGramianRank:
         with pytest.raises(ParameterError, match="tol must be positive"):
             gramian_rank(realize(chain3), tol=0)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_tol_must_be_finite(self, chain3, tol):
+        with pytest.raises(ParameterError, match="tol must be positive"):
+            gramian_rank(realize(chain3), tol=tol)
+
     def test_no_overcount_on_a_long_block_chain(self):
         # Re-orthonormalizing the whole stacked basis at every step let
         # rounding errors grow into spurious directions here: ranks
