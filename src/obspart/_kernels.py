@@ -1,9 +1,15 @@
-"""Array kernels for the hot graph loops.
+"""Kernels for the hot graph loops.
 
-Each kernel works on plain numpy arrays.  Graphs are passed in CSR form:
-``indptr`` of length ``n+1`` and ``indices`` holding neighbor ids, sorted
-ascending within each row — the sort is what makes matching tie-breaks
-deterministic.
+Graphs are passed in CSR form as numpy arrays: ``indptr`` of length
+``n+1`` and ``indices`` holding neighbor ids, sorted ascending within each
+row — the sort is what makes matching tie-breaks deterministic.  The
+arrays may be read-only; no kernel writes to them.
+
+The loops are interpreted Python, so each kernel copies the CSR into
+Python lists once with ``tolist()`` and loops over those: indexing a list
+yields a ready int, while indexing a numpy array boxes a new scalar on
+every access, which is several times slower.  Results are
+returned as numpy arrays, with the dtypes each kernel documents.
 """
 
 import numpy as np
@@ -33,170 +39,155 @@ def hopcroft_karp(indptr, indices, n_begin, n_end):
     """Maximum bipartite matching; returns (match_begin, match_end).
 
     ``indices`` lists end-node ids adjacent to each begin node.  Unmatched
-    nodes carry -1.  Begin nodes are scanned in ascending order and
-    adjacency rows are pre-sorted, so the matching is deterministic.
+    nodes carry -1; both arrays are int64.  Begin nodes are scanned in
+    ascending order and adjacency rows are pre-sorted, so the matching is
+    deterministic.
     """
+    indptr = indptr.tolist()
+    indices = indices.tolist()
     inf = n_begin + n_end + 1
-    match_begin = np.full(n_begin, -1, np.int64)
-    match_end = np.full(n_end, -1, np.int64)
-    dist = np.empty(n_begin, np.int64)
-    queue = np.empty(n_begin, np.int64)
-    stack = np.empty(n_begin + 1, np.int64)
-    frame_ptr = np.empty(n_begin + 1, np.int64)
-    chosen = np.empty(n_begin + 1, np.int64)
+    match_begin = [-1] * n_begin
+    match_end = [-1] * n_end
+    dist = [inf] * n_begin
 
     while True:
         # BFS phase: layer begin nodes by alternating distance from the
         # free ones; shortest augmenting length ends the scan.
-        qh = 0
-        qt = 0
+        queue = []
         for u in range(n_begin):
             if match_begin[u] == -1:
                 dist[u] = 0
-                queue[qt] = u
-                qt += 1
+                queue.append(u)
             else:
                 dist[u] = inf
         shortest = inf
-        while qh < qt:
-            u = queue[qh]
-            qh += 1
-            if dist[u] >= shortest:
+        for u in queue:  # the loop also visits the begins appended below
+            d = dist[u] + 1
+            if d > shortest:
                 continue
-            for k in range(indptr[u], indptr[u + 1]):
-                w = match_end[indices[k]]
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                w = match_end[v]
                 if w == -1:
                     if shortest == inf:
-                        shortest = dist[u] + 1
+                        shortest = d
                 elif dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    queue[qt] = w
-                    qt += 1
+                    dist[w] = d
+                    queue.append(w)
         if shortest == inf:
             break
 
-        # DFS phase: augment along length-`shortest` paths only.
+        # DFS phase: augment along length-`shortest` paths only.  ``path``
+        # holds the begins from the free root down, ``ends[i]`` the end
+        # that leads from path[i] on, ``pos[i]`` the next slot of path[i].
         for s in range(n_begin):
             if match_begin[s] != -1:
                 continue
-            top = 0
-            stack[0] = s
-            frame_ptr[0] = indptr[s]
-            hit = False
-            while top >= 0:
-                u = stack[top]
-                descended = False
-                while frame_ptr[top] < indptr[u + 1]:
-                    k = frame_ptr[top]
-                    frame_ptr[top] += 1
+            path = [s]
+            pos = [indptr[s]]
+            ends = []
+            while path:
+                u = path[-1]
+                d = dist[u] + 1
+                for k in range(pos[-1], indptr[u + 1]):
                     v = indices[k]
                     w = match_end[v]
                     if w == -1:
-                        if dist[u] + 1 == shortest:
-                            chosen[top] = v
-                            hit = True
-                            descended = True
+                        if d == shortest:
                             break
-                    elif dist[w] == dist[u] + 1:
-                        chosen[top] = v
-                        top += 1
-                        stack[top] = w
-                        frame_ptr[top] = indptr[w]
-                        descended = True
+                    elif dist[w] == d:
                         break
-                if hit:
-                    break
-                if not descended:
+                else:
+                    # dead end: no shortest path runs through u this phase
                     dist[u] = inf
-                    top -= 1
-            if hit:
-                for i in range(top, -1, -1):
-                    match_end[chosen[i]] = stack[i]
-                    match_begin[stack[i]] = chosen[i]
-    return match_begin, match_end
+                    path.pop()
+                    pos.pop()
+                    if ends:
+                        ends.pop()
+                    continue
+                pos[-1] = k + 1
+                ends.append(v)
+                if w == -1:
+                    for b, e in zip(path, ends):
+                        match_begin[b] = e
+                        match_end[e] = b
+                    break
+                path.append(w)
+                pos.append(indptr[w])
+    return np.array(match_begin, np.int64), np.array(match_end, np.int64)
 
 
 def tarjan_scc(indptr, indices, n):
     """Strongly connected components; returns (comp_id, n_comp).
 
-    Component ids follow Tarjan's pop order: if some edge leads from
-    component a to component b (a != b) then comp_id[b] < comp_id[a],
-    i.e. ascending id is a sinks-first topological order.
+    ``comp_id`` is an int64 array and ``n_comp`` an int.  Component ids
+    follow Tarjan's pop order: if some edge leads from component a to
+    component b (a != b) then comp_id[b] < comp_id[a], i.e. ascending id
+    is a sinks-first topological order.
     """
-    order = np.full(n, -1, np.int64)
-    low = np.zeros(n, np.int64)
-    on_stack = np.zeros(n, np.uint8)
-    scc_stack = np.empty(n, np.int64)
-    comp = np.full(n, -1, np.int64)
-    dfs_node = np.empty(n, np.int64)
-    dfs_edge = np.empty(n, np.int64)
-    sp = 0
+    indptr = indptr.tolist()
+    indices = indices.tolist()
+    order = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    scc_stack = []
+    comp = [-1] * n
     n_comp = 0
     counter = 0
     for root in range(n):
         if order[root] != -1:
             continue
-        top = 0
-        dfs_node[0] = root
-        dfs_edge[0] = indptr[root]
-        order[root] = counter
-        low[root] = counter
+        order[root] = low[root] = counter
         counter += 1
-        scc_stack[sp] = root
-        sp += 1
-        on_stack[root] = 1
-        while top >= 0:
-            u = dfs_node[top]
-            if dfs_edge[top] < indptr[u + 1]:
-                k = dfs_edge[top]
-                dfs_edge[top] += 1
+        scc_stack.append(root)
+        on_stack[root] = True
+        nodes = [root]  # the DFS path, with the next edge slot of each
+        slots = [indptr[root]]
+        while nodes:
+            u = nodes[-1]
+            k = slots[-1]
+            stop = indptr[u + 1]
+            while k < stop:
                 v = indices[k]
+                k += 1
                 if order[v] == -1:
-                    order[v] = counter
-                    low[v] = counter
-                    counter += 1
-                    scc_stack[sp] = v
-                    sp += 1
-                    on_stack[v] = 1
-                    top += 1
-                    dfs_node[top] = v
-                    dfs_edge[top] = indptr[v]
-                elif on_stack[v] == 1 and order[v] < low[u]:
+                    break
+                if on_stack[v] and order[v] < low[u]:
                     low[u] = order[v]
             else:
                 if low[u] == order[u]:
                     while True:
-                        w = scc_stack[sp - 1]
-                        sp -= 1
-                        on_stack[w] = 0
+                        w = scc_stack.pop()
+                        on_stack[w] = False
                         comp[w] = n_comp
                         if w == u:
                             break
                     n_comp += 1
-                top -= 1
-                if top >= 0 and low[u] < low[dfs_node[top]]:
-                    low[dfs_node[top]] = low[u]
-    return comp, n_comp
+                nodes.pop()
+                slots.pop()
+                if nodes and low[u] < low[nodes[-1]]:
+                    low[nodes[-1]] = low[u]
+                continue
+            slots[-1] = k
+            order[v] = low[v] = counter
+            counter += 1
+            scc_stack.append(v)
+            on_stack[v] = True
+            nodes.append(v)
+            slots.append(indptr[v])
+    return np.array(comp, np.int64), n_comp
 
 
 def reachable(indptr, indices, n, seeds):
     """Forward BFS closure; ``seeds`` is a uint8 mask, result likewise."""
-    mask = np.zeros(n, np.uint8)
-    queue = np.empty(n, np.int64)
-    qt = 0
-    for i in range(n):
-        if seeds[i] != 0:
-            mask[i] = 1
-            queue[qt] = i
-            qt += 1
-    qh = 0
-    while qh < qt:
-        u = queue[qh]
-        qh += 1
-        for k in range(indptr[u], indptr[u + 1]):
-            v = indices[k]
-            if mask[v] == 0:
-                mask[v] = 1
-                queue[qt] = v
-                qt += 1
-    return mask
+    indptr = indptr.tolist()
+    indices = indices.tolist()
+    queue = np.flatnonzero(seeds).tolist()
+    seen = [False] * n
+    for u in queue:
+        seen[u] = True
+    for u in queue:  # the loop also visits the nodes appended below
+        for v in indices[indptr[u]:indptr[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return np.array(seen, np.uint8)

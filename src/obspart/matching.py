@@ -47,7 +47,9 @@ def s_rank(sys, include_h=False):
     """Structural rank of A, or of the stacked [A; H] with ``include_h``."""
     if not include_h:
         sys = sys.without_measurements()
-    return maximum_matching(build_digraph(sys)).size
+    g = build_digraph(sys)
+    match_begin, _ = hopcroft_karp(g.indptr, g.indices, g.n_begin, g.n_end)
+    return int((match_begin >= 0).sum())
 
 
 @dataclass(frozen=True)

@@ -148,16 +148,19 @@ def forbid_states(alpha_classes, beta_classes, forbidden):
     return reduce(alpha_classes, "alpha"), reduce(beta_classes, "beta")
 
 
+def _overlap_edges(alpha, beta):
+    """Sorted (i, j) pairs of alpha class i meeting beta class j."""
+    beta_of = {state: j for j, cls in enumerate(beta) for state in cls}
+    return [
+        (i, j)
+        for i, cls in enumerate(alpha)
+        for j in sorted({beta_of[s] for s in cls if s in beta_of})
+    ]
+
+
 def _overlap_matching(alpha, beta):
-    edges = []
-    for i, a_cls in enumerate(alpha):
-        a_set = set(a_cls)
-        for j, b_cls in enumerate(beta):
-            if a_set.intersection(b_cls):
-                edges.append((i, j))
-    indptr, indices = csr_from_edges(len(alpha), sorted(edges))
-    match_begin, match_end = hopcroft_karp(indptr, indices, len(alpha), len(beta))
-    return match_begin, match_end
+    indptr, indices = csr_from_edges(len(alpha), _overlap_edges(alpha, beta))
+    return hopcroft_karp(indptr, indices, len(alpha), len(beta))
 
 
 def _witness(alpha, beta, match_begin, match_end):
@@ -244,32 +247,42 @@ def _row_states(sys):
     """{row: set of measured states}, rejecting rows that measure none."""
     if sys.p == 0:
         raise PreconditionError("classification requires at least one measurement row")
-    row_states = {}
-    for row in range(1, sys.p + 1):
-        states = sys.row_states(row)
+    row_states = {row: set() for row in range(1, sys.p + 1)}
+    for row, state in sys.h_pattern:
+        row_states[row].add(state)
+    for row, states in row_states.items():
         if not states:
             raise MalformedInputError(f"measurement row {row} measures no state")
-        row_states[row] = set(states)
     return row_states
 
 
 def _label_rows(row_states, alpha, beta):
-    labels = {row: GAMMA for row in row_states}
-    taken = set()
+    """Give each class, in order, the lowest untaken row touching it."""
+    # Each state's rows, highest first, so that the lowest untaken row is
+    # the last one once taken rows are popped; a row, once taken, stays
+    # taken, so each state's list is popped through at most once.
+    rows_of = {}
+    for row in sorted(row_states, reverse=True):
+        for state in row_states[row]:
+            rows_of.setdefault(state, []).append(row)
+    labels = dict.fromkeys(row_states, GAMMA)
     for family, classes in ((ALPHA, alpha), (BETA, beta)):
         for cls in classes:
-            members = set(cls)
-            for row in row_states:
-                if row not in taken and row_states[row] & members:
-                    labels[row] = family
-                    taken.add(row)
-                    break
+            best = None
+            for state in cls:
+                rows = rows_of.get(state)
+                while rows and labels[rows[-1]] != GAMMA:
+                    rows.pop()
+                if rows and (best is None or rows[-1] < best):
+                    best = rows[-1]
+            if best is not None:
+                labels[best] = family
     return tuple(labels.values())
 
 
 def is_necessary(sys, row):
     """Would deleting this measurement row lose generic observability?"""
-    if not (isinstance(row, int) and 1 <= row <= sys.p):
+    if isinstance(row, bool) or not (isinstance(row, int) and 1 <= row <= sys.p):
         raise ParameterError(
             f"row must be a measurement index in 1..{sys.p}, got {row!r}"
         )

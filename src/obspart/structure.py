@@ -94,15 +94,12 @@ class StructuredSystem:
         """Append one single-state measurement row per listed state."""
         extra = []
         for k, s in enumerate(states):
+            if isinstance(s, bool) or not isinstance(s, int):
+                raise MalformedInputError(f"sensor state {s!r} is not an integer")
             if not 1 <= s <= self.n:
                 raise MalformedInputError(f"sensor state {s} out of range for n={self.n}")
             extra.append((self.p + k + 1, s))
-        return StructuredSystem(
-            n=self.n,
-            p=self.p + len(extra),
-            a_pattern=self.a_pattern,
-            h_pattern=self.h_pattern | set(extra),
-        )
+        return self._derived(self.p + len(extra), self.h_pattern.union(extra))
 
     def without_row(self, row):
         """Drop measurement row ``row`` (1-based) and renumber the rest."""
@@ -113,10 +110,7 @@ class StructuredSystem:
             if i == row:
                 continue
             kept.append((i - 1, j) if i > row else (i, j))
-        return StructuredSystem(
-            n=self.n, p=self.p - 1,
-            a_pattern=self.a_pattern, h_pattern=frozenset(kept),
-        )
+        return self._derived(self.p - 1, frozenset(kept))
 
     def without_measurements(self):
         """The bare state pattern: every measurement row dropped.
@@ -127,7 +121,19 @@ class StructuredSystem:
 
     @cached_property
     def _bare(self):
-        return StructuredSystem(n=self.n, p=0, a_pattern=self.a_pattern)
+        return self._derived(0, frozenset())
+
+    def _derived(self, p, h_pattern):
+        """This system's A pattern with new measurement rows.
+
+        A was validated when this system was built and the callers check
+        every row they add, so ``__post_init__`` is not run again.
+        """
+        derived = object.__new__(StructuredSystem)
+        for name, value in (("n", self.n), ("p", p),
+                            ("a_pattern", self.a_pattern), ("h_pattern", h_pattern)):
+            object.__setattr__(derived, name, value)
+        return derived
 
     @cached_property
     def graph(self):

@@ -78,6 +78,34 @@ def rank_class_sets(n_begin, edges):
 
 
 # ---------------------------------------------------------------------------
+# class bookkeeping by literal pairwise scans
+
+def overlap_edges(alpha, beta):
+    """(i, j) for every alpha class i that meets beta class j."""
+    return [
+        (i, j)
+        for i, a_cls in enumerate(alpha)
+        for j, b_cls in enumerate(beta)
+        if set(a_cls) & set(b_cls)
+    ]
+
+
+def greedy_row_labels(row_states, alpha, beta):
+    """Each class in turn, alpha first, takes the first free row touching it.
+
+    ``row_states`` maps rows, in ascending order, to their state sets.
+    """
+    labels = {row: "gamma" for row in row_states}
+    for family, classes in (("alpha", alpha), ("beta", beta)):
+        for cls in classes:
+            for row in row_states:
+                if labels[row] == "gamma" and row_states[row] & set(cls):
+                    labels[row] = family
+                    break
+    return tuple(labels.values())
+
+
+# ---------------------------------------------------------------------------
 # brute-force numeric observability
 
 def _realized(n, a_entries, sensor_states, trial):

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from obspart import StructuredSystem
 from obspart import _kernels as K
 from oracles import bfs_reach, brute_sccs
 
@@ -12,6 +16,102 @@ def random_bipartite(rng, n_begin, n_end, n_edges):
     cells = rng.choice(n_begin * n_end, size=min(n_edges, n_begin * n_end),
                        replace=False)
     return sorted((int(c) // n_end, int(c) % n_end) for c in cells)
+
+
+def block_chain(rng, n_blocks):
+    """Arcs of a chain of strongly connected blocks under shuffled labels.
+
+    Each block of 1-6 nodes is a cycle plus random chords, its first node
+    may carry an arc into the previous block, and a random relabelling
+    makes the DFS meet the blocks out of chain order.
+    """
+    sizes = rng.integers(1, 7, size=n_blocks)
+    n = int(sizes.sum())
+    label = rng.permutation(n)
+    arcs = set()
+    start = 0
+    for b, size in enumerate(sizes.tolist()):
+        block = list(range(start, start + size))
+        if size > 1 or rng.random() < 0.5:
+            arcs.update(zip(block, block[1:] + block[:1]))
+        for _ in range(size // 2):
+            arcs.add((int(rng.choice(block)), int(rng.choice(block))))
+        if b and rng.random() < 0.8:
+            arcs.add((start, start - 1 - int(rng.integers(sizes[b - 1]))))
+        start += size
+    return n, sorted((int(label[s]), int(label[d])) for s, d in arcs)
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+# Digests of the kernels' exact output on seeded inputs, recorded when
+# the kernels indexed numpy arrays element by element.  A port to another
+# container must keep scan order and tie-breaks, so these must not move.
+MATCHING_DIGESTS = {
+    1: "f72615c9551da38f",
+    2: "a8ebbd20e9ab8f55",
+    3: "b4b54b51ab329df0",
+}
+TARJAN_DIGEST = "98836164fb2af395"
+
+
+def seeded_bipartite(seed):
+    rng = np.random.default_rng(seed)
+    nb, ne = 400, 380
+    return nb, ne, random_bipartite(rng, nb, ne, int(2.5 * nb))
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("seed", sorted(MATCHING_DIGESTS))
+    def test_matching_is_pinned(self, seed):
+        nb, ne, edges = seeded_bipartite(seed)
+        match_begin, match_end = K.hopcroft_karp(*K.csr_from_edges(nb, edges), nb, ne)
+        assert digest(match_begin, match_end) == MATCHING_DIGESTS[seed]
+
+    def test_scc_ids_are_pinned(self):
+        n, arcs = block_chain(np.random.default_rng(5), 300)
+        comp, n_comp = K.tarjan_scc(*K.csr_from_edges(n, arcs), n)
+        assert digest(comp, [n_comp]) == TARJAN_DIGEST
+
+
+class TestSystemGraphArrays:
+    """Every layer hands the kernels a SystemGraph's read-only arrays."""
+
+    @pytest.fixture
+    def graph(self):
+        sys = StructuredSystem(
+            n=4, p=0,
+            a_pattern=frozenset({(2, 1), (3, 2), (1, 3), (4, 4), (4, 3)}),
+        )
+        g = sys.graph
+        assert not g.indptr.flags.writeable and not g.indices.flags.writeable
+        return g
+
+    def test_hopcroft_karp(self, graph):
+        match_begin, match_end = K.hopcroft_karp(
+            graph.indptr, graph.indices, graph.n_begin, graph.n_end
+        )
+        assert match_begin.dtype == match_end.dtype == np.int64
+        assert match_begin.tolist() == [1, 2, 0, 3]
+        assert match_end.tolist() == [2, 0, 1, 3]
+
+    def test_tarjan_scc(self, graph):
+        comp, n_comp = K.tarjan_scc(graph.indptr, graph.indices, graph.n)
+        assert comp.dtype == np.int64
+        assert type(n_comp) is int
+        assert comp.tolist() == [1, 1, 1, 0]  # the sink {4} pops first
+
+    def test_reachable(self, graph):
+        seeds = np.zeros(graph.n, np.uint8)
+        seeds[3] = 1
+        mask = K.reachable(graph.indptr, graph.indices, graph.n, seeds)
+        assert mask.dtype == np.uint8
+        assert mask.tolist() == [0, 0, 0, 1]
 
 
 class TestCsr:

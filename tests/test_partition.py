@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from obspart import (
     InconsistencyError,
@@ -15,8 +16,9 @@ from obspart import (
     partition_report,
     theorem_check,
 )
+from obspart.partition import _label_rows, _overlap_edges, _row_states
 from conftest import FIX15_ALPHA, FIX15_BETA, S
-from oracles import numeric_observable
+from oracles import greedy_row_labels, numeric_observable, overlap_edges
 from strategies import systems
 
 
@@ -212,6 +214,51 @@ class TestClassify:
             classify_measurements(fan3)
 
 
+@st.composite
+def families_and_rows(draw):
+    """Two families of disjoint classes over 1..n, and multi-state rows."""
+    n = draw(st.integers(1, 12))
+
+    def family():
+        tags = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+        groups = {}
+        for state, tag in enumerate(tags, start=1):
+            if tag >= 0:
+                groups.setdefault(tag, []).append(state)
+        return tuple(sorted(tuple(g) for g in groups.values()))
+
+    alpha, beta = family(), family()
+    p = draw(st.integers(1, 6))
+    rows = {
+        row: draw(st.sets(st.integers(1, n), min_size=1, max_size=4))
+        for row in range(1, p + 1)
+    }
+    return alpha, beta, rows
+
+
+class TestBookkeeping:
+    """The linear class bookkeeping against literal pairwise scans."""
+
+    @given(families_and_rows())
+    def test_matches_quadratic_references(self, case):
+        alpha, beta, rows = case
+        assert _overlap_edges(alpha, beta) == overlap_edges(alpha, beta)
+        assert _label_rows(rows, alpha, beta) == greedy_row_labels(rows, alpha, beta)
+
+    @given(systems(n_max=6, p_max=4))
+    def test_row_states_groups_every_row(self, sys):
+        if sys.p == 0:
+            return
+        empty = [r for r in range(1, sys.p + 1) if not sys.row_states(r)]
+        if empty:
+            with pytest.raises(MalformedInputError, match=f"row {empty[0]} measures"):
+                _row_states(sys)
+        else:
+            assert _row_states(sys) == {
+                r: set(sys.row_states(r)) for r in range(1, sys.p + 1)
+            }
+
+
 class TestIsNecessary:
     def test_only_sensor_is_necessary(self, chain3):
         assert is_necessary(chain3, 1)
@@ -234,6 +281,10 @@ class TestIsNecessary:
     def test_row_out_of_range(self, chain3):
         with pytest.raises(ParameterError, match="row must be"):
             is_necessary(chain3, 2)
+
+    def test_bool_row_rejected(self, chain3):
+        with pytest.raises(ParameterError, match="got True"):
+            is_necessary(chain3, True)
 
 
 class TestPartitionReport:

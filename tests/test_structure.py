@@ -56,8 +56,22 @@ class TestStructuredSystem:
         assert grown.p == 3
         assert grown.row_states(2) == (2,)
         assert grown.row_states(3) == (1,)
-        with pytest.raises(MalformedInputError):
+        with pytest.raises(MalformedInputError, match="sensor state 7 out of range"):
             sys.with_sensor_rows([7])
+
+    @pytest.mark.parametrize("state", [True, 2.0, "2"])
+    def test_with_sensor_rows_names_a_non_integer_state(self, state):
+        sys = S(3, 1, [(2, 1)], [(1, 3)])
+        with pytest.raises(MalformedInputError,
+                           match=rf"sensor state {state!r} is not an integer"):
+            sys.with_sensor_rows([state])
+
+    def test_derived_systems_keep_the_pattern(self):
+        sys = S(3, 2, [(2, 1), (3, 2)], [(1, 3), (2, 1), (2, 2)])
+        grown = sys.with_sensor_rows([2])
+        assert grown == S(3, 3, [(2, 1), (3, 2)], [(1, 3), (2, 1), (2, 2), (3, 2)])
+        assert sys.without_row(1) == S(3, 1, [(2, 1), (3, 2)], [(1, 1), (1, 2)])
+        assert sys.without_measurements() == S(3, 0, [(2, 1), (3, 2)])
 
     def test_without_row_renumbers(self):
         sys = S(3, 3, [], [(1, 1), (2, 2), (3, 3)])
