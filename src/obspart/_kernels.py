@@ -35,19 +35,30 @@ def csr_from_edges(n_nodes, edges):
     return indptr, indices
 
 
-def hopcroft_karp(indptr, indices, n_begin, n_end):
+def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
     """Maximum bipartite matching; returns (match_begin, match_end).
 
     ``indices`` lists end-node ids adjacent to each begin node.  Unmatched
     nodes carry -1; both arrays are int64.  Begin nodes are scanned in
     ascending order and adjacency rows are pre-sorted, so the matching is
     deterministic.
+
+    ``start``, when given, is the ``match_begin`` array of a matching on
+    this graph to augment from instead of the empty one: any matching
+    will do (Hopcroft & Karp 1973), and one close to maximum leaves few
+    phases.  It is copied, never written.
     """
     indptr = indptr.tolist()
     indices = indices.tolist()
     inf = n_begin + n_end + 1
-    match_begin = [-1] * n_begin
     match_end = [-1] * n_end
+    if start is None:
+        match_begin = [-1] * n_begin
+    else:
+        match_begin = start.tolist()
+        for u, e in enumerate(match_begin):
+            if e != -1:
+                match_end[e] = u
     dist = [inf] * n_begin
 
     while True:

@@ -32,7 +32,7 @@ class Matching:
 
 def maximum_matching(bg):
     """Deterministic maximum matching (Hopcroft-Karp over sorted adjacency)."""
-    match_begin, _ = hopcroft_karp(bg.indptr, bg.indices, bg.n_begin, bg.n_end)
+    match_begin, _ = bg.matching
     edges = []
     unmatched = []
     for b in range(bg.n_begin):
@@ -44,11 +44,17 @@ def maximum_matching(bg):
 
 
 def s_rank(sys, include_h=False):
-    """Structural rank of A, or of the stacked [A; H] with ``include_h``."""
-    if not include_h:
-        sys = sys.without_measurements()
-    g = build_digraph(sys)
-    match_begin, _ = hopcroft_karp(g.indptr, g.indices, g.n_begin, g.n_end)
+    """Structural rank of A, or of the stacked [A; H] with ``include_h``.
+
+    The stacked graph only adds measurement ends to the bare one, so its
+    matching starts from the bare system's and needs at most one
+    augmentation per row.
+    """
+    match_begin, _ = build_digraph(sys.without_measurements()).matching
+    if include_h and sys.p:
+        g = build_digraph(sys)
+        match_begin, _ = hopcroft_karp(g.indptr, g.indices, g.n_begin, g.n_end,
+                                       start=match_begin)
     return int((match_begin >= 0).sum())
 
 
@@ -98,9 +104,10 @@ def contractions(bg):
     Two seeds whose searches reach a common state mean some deficient
     component is short by two or more nodes; no one-set-per-deficit
     decomposition exists there, so that is reported as
-    DegenerateStructureError rather than guessed around.
+    DegenerateStructureError rather than guessed around.  The seeds
+    come from the graph's own cold matching, found once per graph.
     """
-    match_begin, match_end = hopcroft_karp(bg.indptr, bg.indices, bg.n_begin, bg.n_end)
+    match_begin, match_end = bg.matching
     owner, clashes = _alternating_owners(bg.indptr, bg.indices, match_begin, match_end)
     if clashes:
         overlaps = tuple((a + 1, b + 1) for a, b in clashes)

@@ -92,8 +92,14 @@ def equivalence_classes(sys):
     Access classes list every matched parent component; an unmatched
     parent yields none, because it necessarily contains a full rank
     class and the sensor that class demands already sits inside it.
+
+    The pair is worked out once per bare system, which every system
+    derived from ``sys`` shares.
     """
-    bare = sys.without_measurements()
+    return sys.without_measurements().memo(_classes)
+
+
+def _classes(bare):
     alpha = tuple(c.members for c in system_contractions(bare))
     dec = decompose(build_digraph(bare))
     beta = tuple(

@@ -60,9 +60,14 @@ def decompose(dg):
 
     # Intra-component arcs form a block-diagonal bipartite graph, so one
     # maximum matching is maximum on every block: a component has a
-    # perfect matching iff all of its states are matched.
+    # perfect matching iff all of its states are matched.  It starts from
+    # the graph's matching less the pairs that leave their component.
     internal = csr_from_edges(n, np.column_stack([src[~cross], dst[~cross]]))
-    match_begin, _ = hopcroft_karp(*internal, n, n)
+    start = dg.matching[0].copy()
+    inside = (start >= 0) & (start < n)
+    inside[inside] = comp[inside] == comp[start[inside]]
+    start[~inside] = -1
+    match_begin, _ = hopcroft_karp(*internal, n, n, start=start)
     short = np.bincount(comp[match_begin < 0], minlength=n_comp)
 
     return SccDecomposition(

@@ -13,6 +13,10 @@ Pairs are (state, end) with ends in one range 1..n+p: values up to n are
 states, the rest measurements.  Read as arcs, the pairs are the system
 digraph; read as (begin, end) pairs, they are its bipartite companion,
 whose maximum matchings compute structural ranks.
+
+Systems derived from one another by adding or dropping measurement rows
+share one bare system.  Its graph finds one maximum matching, from which
+the matchings of the graphs that only add ends to it start.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import csr_from_edges
+from ._kernels import csr_from_edges, hopcroft_karp
 from .errors import MalformedInputError
 
 
@@ -40,6 +44,14 @@ def _check_pattern(name, pattern, n_rows, n_cols):
                 f"{name} entry ({i}, {j}) out of range for a "
                 f"{n_rows}x{n_cols} pattern"
             )
+
+
+def _check_index(what, value, bound_name, bound):
+    """Reject a bool, a non-int or a value outside 1..bound."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInputError(f"{what} {value!r} is not an integer")
+    if not 1 <= value <= bound:
+        raise MalformedInputError(f"{what} {value} out of range for {bound_name}={bound}")
 
 
 @dataclass(frozen=True)
@@ -68,15 +80,19 @@ class StructuredSystem:
         File parsers come through here: a repeated (i, j) pair is a sign
         of a malformed input rather than something to merge silently.
         """
-        a_entries = [tuple(e) for e in a_entries]
-        h_entries = [tuple(e) for e in h_entries]
+        patterns = []
         for name, entries in (("a", a_entries), ("h", h_entries)):
-            seen = set()
-            for e in entries:
-                if e in seen:
-                    raise MalformedInputError(f"duplicate {name} pattern entry {e}")
-                seen.add(e)
-        return cls(n=n, p=p, a_pattern=frozenset(a_entries), h_pattern=frozenset(h_entries))
+            entries = [tuple(e) for e in entries]
+            pattern = frozenset(entries)
+            if len(pattern) != len(entries):
+                # Only a pattern known to repeat an entry is scanned for it.
+                seen = set()
+                for e in entries:
+                    if e in seen:
+                        raise MalformedInputError(f"duplicate {name} pattern entry {e}")
+                    seen.add(e)
+            patterns.append(pattern)
+        return cls(n=n, p=p, a_pattern=patterns[0], h_pattern=patterns[1])
 
     def sorted_a(self):
         return sorted(self.a_pattern)
@@ -86,25 +102,20 @@ class StructuredSystem:
 
     def row_states(self, row):
         """States measured by row ``row`` (1-based), ascending."""
-        if not 1 <= row <= self.p:
-            raise MalformedInputError(f"row {row} out of range for p={self.p}")
+        _check_index("row", row, "p", self.p)
         return tuple(sorted(j for (i, j) in self.h_pattern if i == row))
 
     def with_sensor_rows(self, states):
         """Append one single-state measurement row per listed state."""
         extra = []
         for k, s in enumerate(states):
-            if isinstance(s, bool) or not isinstance(s, int):
-                raise MalformedInputError(f"sensor state {s!r} is not an integer")
-            if not 1 <= s <= self.n:
-                raise MalformedInputError(f"sensor state {s} out of range for n={self.n}")
+            _check_index("sensor state", s, "n", self.n)
             extra.append((self.p + k + 1, s))
         return self._derived(self.p + len(extra), self.h_pattern.union(extra))
 
     def without_row(self, row):
         """Drop measurement row ``row`` (1-based) and renumber the rest."""
-        if not 1 <= row <= self.p:
-            raise MalformedInputError(f"row {row} out of range for p={self.p}")
+        _check_index("row", row, "p", self.p)
         kept = []
         for (i, j) in self.h_pattern:
             if i == row:
@@ -115,25 +126,42 @@ class StructuredSystem:
     def without_measurements(self):
         """The bare state pattern: every measurement row dropped.
 
-        Built once per system, so every layer shares the bare graph.
+        Built once per system and handed on to every system derived from
+        it, so they all share the bare graph, its matching and whatever
+        is kept there with ``memo``.
         """
         return self if self.p == 0 else self._bare
 
     @cached_property
     def _bare(self):
-        return self._derived(0, frozenset())
+        return _unchecked(self.n, 0, self.a_pattern, frozenset())
 
     def _derived(self, p, h_pattern):
         """This system's A pattern with new measurement rows.
 
         A was validated when this system was built and the callers check
-        every row they add, so ``__post_init__`` is not run again.
+        every row they add, so ``__post_init__`` is not run again.  The
+        result shares this system's bare system, and is that bare system
+        when no row is left.
         """
-        derived = object.__new__(StructuredSystem)
-        for name, value in (("n", self.n), ("p", p),
-                            ("a_pattern", self.a_pattern), ("h_pattern", h_pattern)):
-            object.__setattr__(derived, name, value)
+        bare = self.without_measurements()
+        if p == 0:
+            return bare
+        derived = _unchecked(self.n, p, self.a_pattern, h_pattern)
+        derived.__dict__["_bare"] = bare
         return derived
+
+    def memo(self, compute):
+        """``compute(self)``, worked out once per system and kept with it.
+
+        For results of the pattern alone that the layers above compute,
+        such as the classes of the bare system.  Nothing is kept when
+        ``compute`` raises, so every call raises again.
+        """
+        memo = self.__dict__.setdefault("_memo", {})
+        if compute not in memo:
+            memo[compute] = compute(self)
+        return memo[compute]
 
     @cached_property
     def graph(self):
@@ -146,13 +174,23 @@ class StructuredSystem:
         return SystemGraph(n=self.n, p=self.p, indptr=indptr, indices=indices)
 
 
+def _unchecked(n, p, a_pattern, h_pattern):
+    """A system from already validated parts, skipping ``__post_init__``."""
+    system = object.__new__(StructuredSystem)
+    for name, value in (("n", n), ("p", p),
+                        ("a_pattern", a_pattern), ("h_pattern", h_pattern)):
+        object.__setattr__(system, name, value)
+    return system
+
+
 @dataclass(frozen=True, eq=False)
 class SystemGraph:
     """The pairs of [A; H] as a CSR, shared by every structural layer.
 
     ``indptr`` and ``indices`` hold the 0-based pairs: one row per state,
-    ends ascending within a row.  Only the two arrays are kept, because a
-    graph lives as long as its system.
+    ends ascending within a row.  Only arrays are kept, the CSR and, once
+    asked for, the ``matching``, because a graph lives as long as its
+    system.
     """
 
     n: int
@@ -177,6 +215,20 @@ class SystemGraph:
     def arcs(self):
         """0-based (state, end) index arrays, in pair order."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
+
+    @cached_property
+    def matching(self):
+        """(match_begin, match_end) of a maximum matching, found once.
+
+        Hopcroft-Karp from the empty matching, so its tie-breaks are the
+        kernel's own.  A bare system's matching seeds the contractions,
+        and the matchings of the graphs that extend it start from it.
+        The arrays are read-only int64, like the CSR.
+        """
+        match_begin, match_end = hopcroft_karp(
+            self.indptr, self.indices, self.n_begin, self.n_end)
+        match_begin.flags.writeable = match_end.flags.writeable = False
+        return match_begin, match_end
 
 
 def build_digraph(sys):

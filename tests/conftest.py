@@ -1,3 +1,6 @@
+import functools
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -53,6 +56,33 @@ def cycle3():
 def fan3():
     """x1 -> x3 and x2 -> x3, no sensors."""
     return S(3, 0, [(3, 1), (3, 2)])
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count calls of an obspart function through every alias of it.
+
+    ``from .x import f`` binds ``f`` again in each importing module, so
+    each such binding is pointed at one counting wrapper, as
+    ``perfbench/child.py`` does.  Returns a function that installs the
+    wrapper and returns the list it appends one entry per call to.
+    """
+    def install(original):
+        calls = []
+
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if module is None or not (name == "obspart" or name.startswith("obspart.")):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+        return calls
+    return install
 
 
 @pytest.fixture(scope="session")

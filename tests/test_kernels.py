@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from obspart import StructuredSystem
 from obspart import _kernels as K
 from oracles import bfs_reach, brute_sccs
+from strategies import systems
 
 
 def random_bipartite(rng, n_begin, n_end, n_edges):
@@ -170,6 +171,75 @@ class TestHopcroftKarp:
         b = K.hopcroft_karp(*K.csr_from_edges(3, edges), 3, 3)
         assert a[0].tolist() == b[0].tolist()
         assert a[1].tolist() == b[1].tolist()
+
+
+def assert_matching(indptr, indices, match_begin, match_end):
+    """A valid matching on the CSR, with consistent begin and end arrays."""
+    for b, e in enumerate(match_begin.tolist()):
+        if e >= 0:
+            assert e in indices[indptr[b]:indptr[b + 1]]
+            assert match_end[e] == b
+    for e, b in enumerate(match_end.tolist()):
+        if b >= 0:
+            assert match_begin[b] == e
+
+
+class TestWarmStart:
+    """Augmenting from the bare matching, as ``s_rank`` and ``decompose`` do."""
+
+    @given(systems(), st.lists(st.integers(1, 8), max_size=3))
+    def test_same_size_as_cold_start(self, sys, sensors):
+        bare = sys.without_measurements().graph
+        start, start_end = K.hopcroft_karp(bare.indptr, bare.indices, bare.n, bare.n)
+        # Read-only, so that a kernel writing to its start raises.
+        start.flags.writeable = start_end.flags.writeable = False
+        before = start.copy()
+
+        src, dst = bare.arcs()
+        comp, _ = K.tarjan_scc(bare.indptr, bare.indices, bare.n)
+        inside = comp[src] == comp[dst]
+        intra_start = np.where(
+            (start >= 0) & (comp == comp[np.maximum(start, 0)]), start, -1)
+        intra_start.flags.writeable = False
+        plus_sensors = sys.without_measurements().with_sensor_rows(
+            [s for s in sensors if s <= sys.n]).graph
+        graphs = [
+            (sys.graph.indptr, sys.graph.indices, sys.n, sys.n + sys.p, start),
+            (plus_sensors.indptr, plus_sensors.indices, sys.n, plus_sensors.n_end,
+             start),
+            (*K.csr_from_edges(sys.n, np.column_stack([src[inside], dst[inside]])),
+             sys.n, sys.n, intra_start),
+            (bare.indptr, bare.indices, bare.n, bare.n, start),
+        ]
+        for indptr, indices, nb, ne, first in graphs:
+            cold, _ = K.hopcroft_karp(indptr, indices, nb, ne)
+            warm, warm_end = K.hopcroft_karp(indptr, indices, nb, ne, start=first)
+            assert warm.dtype == warm_end.dtype == np.int64
+            assert_matching(indptr, indices, warm, warm_end)
+            assert int((warm >= 0).sum()) == int((cold >= 0).sum())
+            # Augmenting paths never unmatch a begin.
+            assert (warm[first >= 0] >= 0).all()
+        assert start.tolist() == before.tolist()
+        # A maximum matching has no augmenting path left to take.
+        assert warm.tolist() == start.tolist()
+        assert warm_end.tolist() == start_end.tolist()
+
+
+    def test_keeps_a_maximum_start_the_cold_search_would_not_find(self):
+        indptr, indices = K.csr_from_edges(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        assert K.hopcroft_karp(indptr, indices, 2, 2)[0].tolist() == [0, 1]
+        start = np.array([1, 0], np.int64)
+        match_begin, match_end = K.hopcroft_karp(indptr, indices, 2, 2, start=start)
+        assert match_begin.tolist() == [1, 0] and match_end.tolist() == [1, 0]
+
+    def test_augments_from_a_partial_start(self):
+        # Begin 0 holds end 0 and only begin 1 can take end 1 instead.
+        indptr, indices = K.csr_from_edges(3, [(0, 0), (0, 1), (1, 0), (2, 2)])
+        start = np.array([0, -1, -1], np.int64)
+        match_begin, match_end = K.hopcroft_karp(indptr, indices, 3, 3, start=start)
+        assert match_begin.tolist() == [1, 0, 2]
+        assert match_end.tolist() == [1, 0, 2]
+        assert start.tolist() == [0, -1, -1]
 
 
 class TestTarjan:

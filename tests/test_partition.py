@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from obspart import (
+    DegenerateStructureError,
     InconsistencyError,
     InfeasiblePlacementError,
     MalformedInputError,
@@ -16,8 +17,9 @@ from obspart import (
     partition_report,
     theorem_check,
 )
+from obspart import _kernels, matching, scc
 from obspart.partition import _label_rows, _overlap_edges, _row_states
-from conftest import FIX15_ALPHA, FIX15_BETA, S
+from conftest import FIX15_A, FIX15_ALPHA, FIX15_BETA, S
 from oracles import greedy_row_labels, numeric_observable, overlap_edges
 from strategies import systems
 
@@ -300,6 +302,89 @@ class TestPartitionReport:
         report = partition_report(fix15, forbid={12})
         assert report.sensor_count == 4
         assert report.minimal_sets == ((4, 9, 10, 11),)
+
+
+def fix15_sensed():
+    """A fresh copy of the fixture with rows on its witness (4, 9, 12)."""
+    return S(15, 3, FIX15_A, [(1, 4), (2, 9), (3, 12)])
+
+
+def fix15_chain(copies=20):
+    """``copies`` disjoint copies of the fixture, each with rows on 9 and 12.
+
+    Copy k holds states 15k+1..15k+15, so 20 copies make 300 states.
+    """
+    a = [(i + 15 * k, j + 15 * k) for k in range(copies) for (i, j) in FIX15_A]
+    h = [(2 * k + r, s + 15 * k) for k in range(copies) for r, s in ((1, 9), (2, 12))]
+    return S(15 * copies, 2 * copies, a, h)
+
+
+class TestSharing:
+    """The bare system's matching and classes are found once and shared."""
+
+    def test_classes_found_once_per_system(self, count_calls):
+        sys = fix15_sensed()
+        n_contractions = count_calls(matching.contractions)
+        n_decompose = count_calls(scc.decompose)
+        plain = partition_report(sys)
+        assert partition_report(sys, forbid={12}).sensor_count == 4
+        assert [is_necessary(sys, row) for row in (1, 2, 3)] == [True] * 3
+        assert classify_measurements(sys) == plain.labels == ("alpha",) * 3
+        assert len(n_contractions) == len(n_decompose) == 1
+
+    def test_derived_systems_share_the_bare_system(self):
+        sys = fix15_sensed()
+        bare = sys.without_measurements()
+        assert sys.with_sensor_rows([1]).without_measurements() is bare
+        assert sys.without_row(2).without_measurements() is bare
+        assert sys.without_row(2).without_row(1).without_row(1) is bare
+        assert sys.with_sensor_rows([1]).without_row(4).without_measurements() is bare
+        one_row = S(3, 1, [(2, 1), (3, 2)], [(1, 3)])
+        assert one_row.without_row(1) is one_row.without_measurements()
+
+    @given(systems(), st.lists(st.integers(1, 8), max_size=2))
+    def test_cached_classes_match_a_fresh_system(self, sys, sensors):
+        grown = sys.with_sensor_rows([s for s in sensors if s <= sys.n])
+        fresh = S(sys.n, 0, sorted(sys.a_pattern))
+        try:
+            expected = equivalence_classes(fresh)
+        except DegenerateStructureError:
+            with pytest.raises(DegenerateStructureError):
+                equivalence_classes(sys)
+            with pytest.raises(DegenerateStructureError):
+                equivalence_classes(grown)
+            return
+        theorem_check(sys)
+        assert equivalence_classes(sys) == expected
+        assert equivalence_classes(grown) == expected
+        # The seeds still come from a cold matching of the bare graph.
+        cold = matching.contractions(S(sys.n, 0, sorted(sys.a_pattern)).graph)
+        assert matching.system_contractions(grown.without_measurements()) == cold
+
+    def test_errors_are_never_cached(self, count_calls):
+        sys = S(4, 1, [(4, 1), (4, 2), (4, 3)], [(1, 4)])
+        n_contractions = count_calls(matching.contractions)
+        for call in (equivalence_classes, partition_report, classify_measurements,
+                     equivalence_classes):
+            with pytest.raises(DegenerateStructureError, match="overlap partially"):
+                call(sys)
+        assert len(n_contractions) == 4
+
+
+class TestMatchingBudget:
+    """Guards the count of Hopcroft-Karp runs against recomputation."""
+
+    def test_check_and_two_reports_run_seven_matchings(self, count_calls):
+        # theorem_check: the bare matching and the input's, warm from it;
+        # plain report: intra-component, class overlap and witness check;
+        # forbidden report: class overlap and witness check.
+        sys = fix15_chain()
+        calls = count_calls(_kernels.hopcroft_karp)
+        assert theorem_check(sys).observable is False
+        assert partition_report(sys).sensor_count == 60
+        forbid = {12 + 15 * k for k in range(20)}
+        assert partition_report(sys, forbid=forbid).sensor_count == 80
+        assert len(calls) == 7
 
 
 class TestPlacementProperties:

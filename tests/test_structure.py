@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 
@@ -79,6 +81,30 @@ class TestStructuredSystem:
         assert smaller.p == 2
         assert smaller.row_states(1) == (1,)
         assert smaller.row_states(2) == (3,)
+
+    @pytest.mark.parametrize("row", [True, False, 1.5, 1.0, "1", None])
+    def test_non_integer_row_named(self, row):
+        # without_row(True) used to drop row 1, and without_row(1.5) to
+        # merge rows 1 and 2 into one.
+        sys = S(3, 2, [(2, 1), (3, 2)], [(1, 3), (2, 1)])
+        for method in (sys.without_row, sys.row_states):
+            with pytest.raises(MalformedInputError,
+                               match=rf"^row {re.escape(repr(row))} is not an integer$"):
+                method(row)
+
+    @pytest.mark.parametrize("row", [0, 3, -1])
+    def test_row_out_of_range(self, row):
+        sys = S(3, 2, [(2, 1), (3, 2)], [(1, 3), (2, 1)])
+        for method in (sys.without_row, sys.row_states):
+            with pytest.raises(MalformedInputError,
+                               match=rf"^row {row} out of range for p=2$"):
+                method(row)
+
+    def test_first_duplicate_named(self):
+        with pytest.raises(MalformedInputError, match=r"duplicate a pattern entry \(2, 3\)"):
+            S(3, 0, [(1, 2), (2, 3), (3, 3), (2, 3), (1, 2)])
+        with pytest.raises(MalformedInputError, match=r"duplicate h pattern entry \(1, 2\)"):
+            S(3, 1, [(1, 2), (2, 1)], [[1, 2], (1, 2)])
 
 
 class TestDigraph:
