@@ -16,23 +16,21 @@ import numpy as np
 
 
 def csr_from_edges(n_nodes, edges):
-    """Build (indptr, indices) from an iterable of (src, dst) int pairs.
+    """Build (indptr, indices) from (src, dst) int pairs.
 
-    Neighbors are sorted ascending per source node; duplicate edges are
-    kept as given (callers pass deduplicated edge lists).
+    ``edges`` is an (m, 2) array or a sequence of pairs.  Neighbors are
+    sorted ascending per source node; duplicate edges are kept as given
+    (callers pass deduplicated edge lists).
     """
-    m = len(edges)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    src, dst = edges[:, 0], edges[:, 1]
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    indices = np.empty(m, dtype=np.int64)
-    if m == 0:
-        return indptr, indices
-    arr = np.asarray(edges, dtype=np.int64)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr = arr[order]
-    np.add.at(indptr, arr[:, 0] + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    indices[:] = arr[:, 1]
-    return indptr, indices
+    np.cumsum(np.bincount(src, minlength=n_nodes), out=indptr[1:])
+    # Sorting src * width + dst orders the pairs by (src, dst), and the
+    # sorted keys modulo width are the neighbors.  The keys stay below
+    # n_nodes * width, far inside int64 for any graph that fits in memory.
+    width = int(dst.max(initial=0)) + 1
+    return indptr, np.sort(src * width + dst) % width
 
 
 def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
@@ -59,18 +57,18 @@ def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
         for u, e in enumerate(match_begin):
             if e != -1:
                 match_end[e] = u
-    dist = [inf] * n_begin
+    # Begins only ever gain a match, and within a phase only as the root
+    # of their own search, so the free ones form a shrinking list that
+    # keeps the ascending scan order.
+    free = [u for u in range(n_begin) if match_begin[u] == -1]
 
     while True:
         # BFS phase: layer begin nodes by alternating distance from the
         # free ones; shortest augmenting length ends the scan.
-        queue = []
-        for u in range(n_begin):
-            if match_begin[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = inf
+        dist = [inf] * n_begin
+        for u in free:
+            dist[u] = 0
+        queue = free[:]
         shortest = inf
         for u in queue:  # the loop also visits the begins appended below
             d = dist[u] + 1
@@ -90,9 +88,7 @@ def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
         # DFS phase: augment along length-`shortest` paths only.  ``path``
         # holds the begins from the free root down, ``ends[i]`` the end
         # that leads from path[i] on, ``pos[i]`` the next slot of path[i].
-        for s in range(n_begin):
-            if match_begin[s] != -1:
-                continue
+        for s in free:
             path = [s]
             pos = [indptr[s]]
             ends = []
@@ -124,6 +120,7 @@ def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
                     break
                 path.append(w)
                 pos.append(indptr[w])
+        free = [u for u in free if match_begin[u] == -1]
     return np.array(match_begin, np.int64), np.array(match_end, np.int64)
 
 

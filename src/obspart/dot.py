@@ -8,7 +8,7 @@ to the same bytes.
 """
 
 from .errors import ParameterError
-from .partition import equivalence_classes
+from .partition import equivalence_classes, rank_classes
 from .scc import decompose
 from .structure import build_digraph
 
@@ -31,9 +31,10 @@ COLOR_MODES = ("alpha", "beta", "scc")
 def _fills(sys, color_by):
     if color_by == "scc":
         groups = decompose(build_digraph(sys)).components
+    elif color_by == "alpha":
+        groups = rank_classes(sys)
     else:
-        alpha, beta = equivalence_classes(sys)
-        groups = alpha if color_by == "alpha" else beta
+        groups = equivalence_classes(sys)[1]
     fills = {}
     for idx, members in enumerate(groups):
         color = PALETTE[idx % len(PALETTE)]
@@ -48,8 +49,13 @@ def export_dot(sys, color_by="alpha", names=None):
         raise ParameterError(
             f"color_by must be one of {', '.join(COLOR_MODES)}, got {color_by!r}"
         )
-    if names is not None and len(names) != sys.n:
-        raise ParameterError(f"names must list all {sys.n} states")
+    if names is not None:
+        if len(names) != sys.n:
+            raise ParameterError(f"names must list all {sys.n} states")
+        for state, name in enumerate(names, start=1):
+            if not isinstance(name, str):
+                raise ParameterError(
+                    f"name of state {state} must be a string, got {name!r}")
     fills = _fills(sys, color_by)
 
     lines = ["digraph system {"]

@@ -93,23 +93,32 @@ def equivalence_classes(sys):
     parent yields none, because it necessarily contains a full rank
     class and the sensor that class demands already sits inside it.
 
-    The pair is worked out once per bare system, which every system
-    derived from ``sys`` shares.
+    Each family is worked out once per bare system, which every system
+    derived from ``sys`` shares.  The rank classes come first, so a
+    system without them raises before any access class is computed.
     """
-    return sys.without_measurements().memo(_classes)
+    alpha = rank_classes(sys)
+    return alpha, sys.without_measurements().memo(_access_classes)
 
 
-def _classes(bare):
-    alpha = tuple(c.members for c in system_contractions(bare))
+def rank_classes(sys):
+    """The rank classes of ``equivalence_classes`` alone."""
+    return sys.without_measurements().memo(_rank_classes)
+
+
+def _rank_classes(bare):
+    return tuple(c.members for c in system_contractions(bare))
+
+
+def _access_classes(bare):
     dec = decompose(build_digraph(bare))
-    beta = tuple(
+    return tuple(
         comp
         for comp, is_parent, is_matched in zip(
             dec.components, dec.parent_flags, dec.matched_flags
         )
         if is_parent and is_matched
     )
-    return alpha, beta
 
 
 def _normalize_classes(classes, family):

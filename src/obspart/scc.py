@@ -9,7 +9,8 @@ of disjoint cycles covers all of its states; a singleton qualifies only
 through a self-loop).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,17 @@ class SccDecomposition:
     components: tuple    # tuples of ascending state numbers, sorted by lowest member
     parent_flags: tuple  # bool per component: no arc into another component
     matched_flags: tuple  # bool per component: internal perfect matching exists
-    order: tuple         # condensation DAG as (src_comp, dst_comp) index pairs
+    # (src_comp, dst_comp) arrays with one entry per arc between components
+    cross_arcs: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def order(self):
+        """Condensation DAG as sorted (src_comp, dst_comp) index pairs.
+
+        Built on first read: no report needs it.
+        """
+        src, dst = self.cross_arcs
+        return tuple(sorted(set(zip(src.tolist(), dst.tolist()))))
 
     def component_of(self, state):
         for idx, comp in enumerate(self.components):
@@ -74,7 +85,7 @@ def decompose(dg):
         components=components,
         parent_flags=tuple(is_parent.tolist()),
         matched_flags=tuple((short == 0).tolist()),
-        order=tuple(sorted(set(zip(cs[cross].tolist(), cd[cross].tolist())))),
+        cross_arcs=(cs[cross], cd[cross]),
     )
 
 

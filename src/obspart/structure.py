@@ -15,12 +15,15 @@ digraph; read as (begin, end) pairs, they are its bipartite companion,
 whose maximum matchings compute structural ranks.
 
 Systems derived from one another by adding or dropping measurement rows
-share one bare system.  Its graph finds one maximum matching, from which
-the matchings of the graphs that only add ends to it start.
+share one bare system.  Its graph is the only one built from the A
+pattern, which the others extend with their measurement pairs, and it
+finds one maximum matching, from which the matchings of the graphs that
+only add ends to it start.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +32,10 @@ from .errors import MalformedInputError
 
 
 def _check_pattern(name, pattern, n_rows, n_cols):
+    if _plain_in_range(pattern, n_rows, n_cols):
+        return
+    # An entry is bad or of a subclass: check entry by entry, so that the
+    # first bad entry is the one named.
     for entry in pattern:
         if (
             not isinstance(entry, tuple)
@@ -44,6 +51,26 @@ def _check_pattern(name, pattern, n_rows, n_cols):
                 f"{name} entry ({i}, {j}) out of range for a "
                 f"{n_rows}x{n_cols} pattern"
             )
+
+
+def _plain_in_range(pattern, n_rows, n_cols):
+    """True when every entry is a tuple of two ints inside the bounds.
+
+    Only exact ``tuple`` and ``int`` pass, so a bool, a numpy integer or
+    any subclass fails here and is left to the entry-by-entry check.
+    Every pass runs in C, one per property, with no numpy call, which
+    would cost more than it saves on small patterns.
+    """
+    if not pattern:
+        return True
+    if set(map(type, pattern)) != {tuple} or set(map(len, pattern)) != {2}:
+        return False
+    flat = list(chain.from_iterable(pattern))
+    if set(map(type, flat)) != {int}:
+        return False
+    rows, cols = flat[0::2], flat[1::2]
+    return (1 <= min(rows) and max(rows) <= n_rows
+            and 1 <= min(cols) and max(cols) <= n_cols)
 
 
 def _check_index(what, value, bound_name, bound):
@@ -64,9 +91,9 @@ class StructuredSystem:
     h_pattern: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise MalformedInputError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.p, int) or self.p < 0:
+        if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 0:
             raise MalformedInputError(f"p must be a non-negative integer, got {self.p!r}")
         object.__setattr__(self, "a_pattern", frozenset(self.a_pattern))
         object.__setattr__(self, "h_pattern", frozenset(self.h_pattern))
@@ -165,13 +192,29 @@ class StructuredSystem:
 
     @cached_property
     def graph(self):
-        """The system's SystemGraph, built on first use."""
-        pairs = [(j - 1, i - 1) for (i, j) in self.a_pattern]
-        pairs += [(j - 1, self.n + i - 1) for (i, j) in self.h_pattern]
+        """The system's SystemGraph, built on first use.
+
+        Only the bare system reads the A pattern; a system with rows
+        extends its bare graph's pairs with its own measurement pairs.
+        """
+        if self.p == 0:
+            pairs = _entries(self.a_pattern)[:, ::-1] - 1
+        else:
+            h = _entries(self.h_pattern)
+            pairs = np.concatenate([
+                np.column_stack(self._bare.graph.arcs()),
+                np.column_stack([h[:, 1] - 1, self.n - 1 + h[:, 0]]),
+            ])
         indptr, indices = csr_from_edges(self.n, pairs)
         # Every layer shares these arrays, so none may write to them.
         indptr.flags.writeable = indices.flags.writeable = False
         return SystemGraph(n=self.n, p=self.p, indptr=indptr, indices=indices)
+
+
+def _entries(pattern):
+    """A validated pattern's (row, column) entries as an (m, 2) int64 array."""
+    flat = np.fromiter(chain.from_iterable(pattern), np.int64, 2 * len(pattern))
+    return flat.reshape(-1, 2)
 
 
 def _unchecked(n, p, a_pattern, h_pattern):

@@ -9,6 +9,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from obspart.errors import MalformedInputError
+
 
 # ---------------------------------------------------------------------------
 # bipartite matchings by exhaustive backtracking
@@ -273,3 +275,25 @@ def exact_krylov_rank(n, a_entries, h_entries, seed=0, draws=2):
             rref, pivots, frontier = _gf_extend(rref, pivots, grown)
         best = max(best, len(pivots))
     return best
+
+
+# ---------------------------------------------------------------------------
+# pattern validation, one entry at a time
+
+def check_pattern_reference(name, pattern, n_rows, n_cols):
+    """The entry-by-entry pattern check, raising on the first bad entry."""
+    for entry in pattern:
+        if (
+            not isinstance(entry, tuple)
+            or len(entry) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
+        ):
+            raise MalformedInputError(
+                f"{name} entry {entry!r} is not a pair of integers"
+            )
+        i, j = entry
+        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
+            raise MalformedInputError(
+                f"{name} entry ({i}, {j}) out of range for a "
+                f"{n_rows}x{n_cols} pattern"
+            )

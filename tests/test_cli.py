@@ -104,6 +104,25 @@ class TestAnalyze:
         assert "overlap partially" in err
         assert err.count("\n") == 1 and len(err) < 500
 
+    @pytest.mark.parametrize("color_by", ["alpha", "beta", "scc"])
+    def test_export_dot_of_a_degenerate_system(self, tmp_path, capsys, color_by):
+        # Rank and access coloring need the rank classes, which do not
+        # exist here; plain components do.
+        doc = {"n": 4, "p": 1, "a": [[4, 1], [4, 2], [4, 3]], "h": [[1, 4]]}
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["export-dot", str(path), "--color-by", color_by],
+                                 capsys)
+        if color_by == "scc":
+            assert (code, err) == (0, "")
+            assert out.startswith("digraph system {")
+        else:
+            assert (code, out) == (3, "")
+            assert err == (
+                "obspart: infeasible: contraction member sets overlap "
+                "partially (1 clashing seed pairs: 2 & 3); a deficient "
+                "component is short by two or more nodes\n")
+
     def test_byte_identical_reruns(self, fix15_path, capsys):
         _, first, _ = run_cli(["analyze", fix15_path], capsys)
         _, second, _ = run_cli(["analyze", fix15_path], capsys)
@@ -326,3 +345,24 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0 []"
+
+    def test_place_and_export_dot_import_neither_scipy_nor_numba(self, chain_path):
+        script = (
+            "import contextlib, io, sys\n"
+            "import obspart.cli\n"
+            "codes = []\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes.append(obspart.cli.main(['place', sys.argv[1]]))\n"
+            "    for mode in ('alpha', 'beta', 'scc'):\n"
+            "        codes.append(obspart.cli.main(\n"
+            "            ['export-dot', sys.argv[1], '--color-by', mode]))\n"
+            "heavy = sorted(m for m in sys.modules\n"
+            "               if m.split('.')[0] in ('scipy', 'numba'))\n"
+            "print(codes, heavy)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, chain_path],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0] []"

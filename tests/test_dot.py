@@ -2,8 +2,9 @@ import re
 
 import pytest
 
-from obspart import ParameterError, export_dot
-from conftest import S
+from obspart import ParameterError, export_dot, partition_report
+from obspart import matching, scc
+from conftest import FIX15_A, S
 
 _LINE = re.compile(
     r"""^(
@@ -83,5 +84,25 @@ class TestExportDot:
         with pytest.raises(ParameterError, match="names must list all 3"):
             export_dot(chain3, names=["a", "b"])
 
+    @pytest.mark.parametrize("names, bad", [
+        ([1, 2, 3], "state 1 must be a string, got 1"),
+        (["a", None, "c"], "state 2 must be a string, got None"),
+        (["a", "b", b"c"], "state 3 must be a string, got b'c'"),
+    ])
+    def test_names_must_be_strings(self, chain3, names, bad):
+        with pytest.raises(ParameterError, match=rf"^name of {re.escape(bad)}$"):
+            export_dot(chain3, names=names)
+
     def test_deterministic(self, fix15):
         assert export_dot(fix15) == export_dot(fix15)
+
+
+class TestClassBudget:
+    def test_alpha_coloring_computes_only_the_rank_classes(self, count_calls):
+        sys = S(15, 2, FIX15_A, [(1, 9), (2, 12)])
+        n_contractions = count_calls(matching.contractions)
+        n_decompose = count_calls(scc.decompose)
+        export_dot(sys, color_by="alpha")
+        assert (len(n_contractions), len(n_decompose)) == (1, 0)
+        partition_report(sys)
+        assert (len(n_contractions), len(n_decompose)) == (1, 1)

@@ -1,7 +1,12 @@
 import re
+from collections import namedtuple
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from obspart import (
     MalformedInputError,
@@ -10,8 +15,30 @@ from obspart import (
     build_bipartite,
     build_digraph,
 )
+from obspart.io import system_from_dict, system_to_dict
+from obspart.structure import _check_pattern
 from conftest import S
+from oracles import check_pattern_reference
 from strategies import systems
+
+# One bad entry each, made from a valid entry (i, j) of a pattern with
+# ``rows`` rows and n columns.
+BAD_ENTRIES = {
+    "bool": lambda i, j, rows, n: (True, j),
+    "numpy integer": lambda i, j, rows, n: (np.int64(i), j),
+    "float": lambda i, j, rows, n: (i + 0.5, j),
+    "3-tuple": lambda i, j, rows, n: (i, j, 1),
+    "list": lambda i, j, rows, n: [i, j],
+    "zero": lambda i, j, rows, n: (0, j),
+    "row past the last": lambda i, j, rows, n: (rows + 1, j),
+    "column past n": lambda i, j, rows, n: (i, n + 1),
+}
+
+
+def _message(check, *args):
+    with pytest.raises(MalformedInputError) as exc:
+        check(*args)
+    return str(exc.value)
 
 
 class TestStructuredSystem:
@@ -38,6 +65,47 @@ class TestStructuredSystem:
     def test_negative_p(self):
         with pytest.raises(MalformedInputError, match="p must be"):
             S(2, -1, [])
+
+    @pytest.mark.parametrize("n, p, message", [
+        (True, False, "n must be a positive integer, got True"),
+        (1, False, "p must be a non-negative integer, got False"),
+        (1, True, "p must be a non-negative integer, got True"),
+    ])
+    def test_bool_size_rejected(self, n, p, message):
+        with pytest.raises(MalformedInputError, match=rf"^{re.escape(message)}$"):
+            StructuredSystem(n=n, p=p, a_pattern={(1, 1)})
+
+    @given(st.integers(50, 70), st.sampled_from(["a", "h"]),
+           st.sampled_from(sorted(BAD_ENTRIES)), st.integers(0, 2**32 - 1),
+           st.floats(0, 1))
+    def test_one_bad_entry_among_many_is_named_as_before(
+            self, n, which, bad, seed, where):
+        # The all-at-once check must fall back to the entry-by-entry one
+        # and name the same entry in the same words.
+        p = n // 2
+        rows = n if which == "a" else p
+        cells = np.random.default_rng(seed).choice(rows * n, 1000, replace=False)
+        entries = [(c // n + 1, c % n + 1) for c in cells.tolist()]
+        entry = BAD_ENTRIES[bad](*entries[0], rows, n)
+        entries = [e for e in entries if e != entry]  # (True, j) == (1, j)
+        entries.insert(int(where * len(entries)), entry)
+        name = f"{which}_pattern"
+        expected = _message(check_pattern_reference, name, entries, rows, n)
+        assert _message(_check_pattern, name, entries, rows, n) == expected
+        if bad != "list":  # a list cannot join a frozenset
+            built = partial(StructuredSystem, n=n, p=p, **{name: entries})
+            assert _message(built) == expected
+
+    def test_int_and_tuple_subclasses_accepted(self):
+        class Index(int):
+            pass
+
+        Pair = namedtuple("Pair", "row col")
+        sys = StructuredSystem(
+            n=3, p=1, a_pattern={Pair(Index(2), Index(1)), (3, Index(2))},
+            h_pattern={Pair(1, 3)})
+        assert sys == S(3, 1, [(2, 1), (3, 2)], [(1, 3)])
+        assert build_digraph(sys).edges == ((1, 2), (2, 3), (3, 4))
 
     def test_duplicate_entries_rejected(self):
         with pytest.raises(MalformedInputError, match=r"duplicate a pattern entry \(1, 2\)"):
@@ -149,6 +217,32 @@ class TestDigraph:
     def test_edge_count_invariant(self, sys):
         dg = build_digraph(sys)
         assert len(dg.edges) == len(sys.a_pattern) + len(sys.h_pattern)
+
+
+def _scipy_csr(sys):
+    """indptr and indices of the system's (state, end) pairs, from scipy."""
+    begins = [j - 1 for (i, j) in sys.a_pattern] + [j - 1 for (i, j) in sys.h_pattern]
+    ends = ([i - 1 for (i, j) in sys.a_pattern]
+            + [sys.n + i - 1 for (i, j) in sys.h_pattern])
+    ref = csr_matrix(
+        (np.ones(len(begins)), (np.array(begins, int), np.array(ends, int))),
+        shape=(sys.n, sys.n + sys.p))
+    ref.sort_indices()
+    return ref.indptr.tolist(), ref.indices.tolist()
+
+
+class TestCsr:
+    """Derived systems extend the bare CSR; each must equal its own build."""
+
+    @given(systems(), st.lists(st.integers(1, 8), max_size=3))
+    def test_matches_scipy(self, sys, sensors):
+        grown = sys.with_sensor_rows([s for s in sensors if s <= sys.n])
+        loaded, _ = system_from_dict(system_to_dict(grown))
+        checked = [sys, sys.without_measurements(), grown, loaded]
+        checked += [grown.without_row(row) for row in range(1, grown.p + 1)]
+        for system in checked:
+            g = build_digraph(system)
+            assert (g.indptr.tolist(), g.indices.tolist()) == _scipy_csr(system)
 
 
 class TestBipartite:
