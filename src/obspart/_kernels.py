@@ -1,4 +1,4 @@
-"""Kernels for the hot graph loops.
+"""Kernels for the hot graph loops: every interpreted loop over a CSR.
 
 Graphs are passed in CSR form as numpy arrays: ``indptr`` of length
 ``n+1`` and ``indices`` holding neighbor ids, sorted ascending within each
@@ -8,8 +8,8 @@ arrays may be read-only; no kernel writes to them.
 The loops are interpreted Python, so each kernel copies the CSR into
 Python lists once with ``tolist()`` and loops over those: indexing a list
 yields a ready int, while indexing a numpy array boxes a new scalar on
-every access, which is several times slower.  Results are
-returned as numpy arrays, with the dtypes each kernel documents.
+every access, which is several times slower.  Each kernel documents the
+types it returns.
 """
 
 import numpy as np
@@ -185,17 +185,28 @@ def tarjan_scc(indptr, indices, n):
     return np.array(comp, np.int64), n_comp
 
 
-def reachable(indptr, indices, n, seeds):
-    """Forward BFS closure; ``seeds`` is a uint8 mask, result likewise."""
+def search(indptr, indices, owner):
+    """Breadth-first search from every labelled node at once.
+
+    ``owner`` is an int array with one label per node, -1 where no search
+    starts; it is copied, never written.  A node takes the label of the
+    node that reaches it first.  Returns the labels as a list and the
+    sorted (lower, higher) label pairs whose searches reach a common node.
+    Rank classes search alternating paths with it, accessibility the
+    reversed arcs.
+    """
     indptr = indptr.tolist()
     indices = indices.tolist()
-    queue = np.flatnonzero(seeds).tolist()
-    seen = [False] * n
-    for u in queue:
-        seen[u] = True
+    owner = owner.tolist()
+    queue = [u for u, label in enumerate(owner) if label >= 0]
+    clashes = set()
     for u in queue:  # the loop also visits the nodes appended below
-        for v in indices[indptr[u]:indptr[u + 1]]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return np.array(seen, np.uint8)
+        mine = owner[u]
+        for w in indices[indptr[u]:indptr[u + 1]]:
+            theirs = owner[w]
+            if theirs < 0:
+                owner[w] = mine
+                queue.append(w)
+            elif theirs != mine:
+                clashes.add((min(mine, theirs), max(mine, theirs)))
+    return owner, sorted(clashes)

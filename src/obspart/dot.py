@@ -70,11 +70,11 @@ def export_dot(sys, color_by="alpha", names=None):
         lines.append(f'  "x{i}"{suffix};')
     for i in range(1, sys.p + 1):
         lines.append(f'  "y{i}" [shape=box];')
-    arcs = sorted(
-        (f"x{b}", f"x{e}" if e <= sys.n else f"y{e - sys.n}")
+    # Sorting the lines sorts the arcs by (source, target) label: each
+    # label ends in a quote, which sorts before any label character.
+    lines.extend(sorted(
+        f'  "x{b}" -> "x{e}";' if e <= sys.n else f'  "x{b}" -> "y{e - sys.n}";'
         for b, e in build_digraph(sys).edges
-    )
-    for src, dst in arcs:
-        lines.append(f'  "{src}" -> "{dst}";')
+    ))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import hopcroft_karp
+from ._kernels import hopcroft_karp, search
 from .errors import DegenerateStructureError
 from .structure import build_digraph
 
@@ -67,37 +67,6 @@ class Contraction:
     witness_unmatched: int  # the unmatched begin node that generated the set
 
 
-def _alternating_owners(indptr, indices, match_begin, match_end):
-    """Label each begin with the seed whose alternating search reaches it.
-
-    One breadth-first search runs from every unmatched begin at once, and
-    a begin takes the owner of whichever begin reaches it first.  Returns
-    the owner list (-1 where no seed reaches) and the sorted 0-based
-    (seed, seed) pairs whose searches reach a common begin.  An end
-    reached this way is always matched, or the matching would not be
-    maximum, and no search re-enters a seed, which has no matched edge.
-    """
-    indptr = indptr.tolist()
-    indices = indices.tolist()
-    match_end = match_end.tolist()
-    owner = [-1] * (len(indptr) - 1)
-    queue = np.flatnonzero(match_begin < 0).tolist()
-    for u in queue:
-        owner[u] = u
-    clashes = set()
-    for u in queue:  # the loop also visits the begins appended below
-        mine = owner[u]
-        for k in range(indptr[u], indptr[u + 1]):
-            w = match_end[indices[k]]
-            theirs = owner[w]
-            if theirs < 0:
-                owner[w] = mine
-                queue.append(w)
-            elif theirs != mine:
-                clashes.add((min(mine, theirs), max(mine, theirs)))
-    return owner, sorted(clashes)
-
-
 def contractions(bg):
     """One contraction per unmatched begin node, sorted by lowest member.
 
@@ -108,7 +77,14 @@ def contractions(bg):
     come from the graph's own cold matching, found once per graph.
     """
     match_begin, match_end = bg.matching
-    owner, clashes = _alternating_owners(bg.indptr, bg.indices, match_begin, match_end)
+    # The gather turns each end into the begin matched to it, so the
+    # search steps from begin to begin.  It never reads a -1: every row
+    # it scans lies on an alternating path from an unmatched begin, and
+    # an unmatched end there would be an augmenting path, which a
+    # maximum matching leaves none of.
+    owner, clashes = search(
+        bg.indptr, match_end[bg.indices],
+        np.where(match_begin < 0, np.arange(bg.n_begin), -1))
     if clashes:
         overlaps = tuple((a + 1, b + 1) for a, b in clashes)
         # Name only the first three pairs, so the message stays one short line.

@@ -45,20 +45,21 @@ class NumericRealization:
 
 
 def _check_tol(tol):
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not (math.isfinite(tol) and tol > 0)):
         raise ParameterError(f"tol must be positive, got {tol!r}")
 
 
 def _check_trials(trials):
-    if not (isinstance(trials, int) and trials >= 1):
+    if isinstance(trials, bool) or not (isinstance(trials, int) and trials >= 1):
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
 
 
 def realize(sys, seed=DEFAULT_SEED, trial=0):
     """Draw values on the pattern; deterministic for a (seed, trial) pair."""
-    if not (isinstance(seed, int) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, int) and seed >= 0):
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (isinstance(trial, int) and trial >= 0):
+    if isinstance(trial, bool) or not (isinstance(trial, int) and trial >= 0):
         raise ParameterError(f"trial must be a non-negative integer, got {trial!r}")
     rng = np.random.default_rng([seed, trial])
     a_entries = sys.sorted_a()

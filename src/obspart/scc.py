@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import csr_from_edges, hopcroft_karp, reachable, tarjan_scc
+from ._kernels import csr_from_edges, hopcroft_karp, search, tarjan_scc
 from .errors import InconsistencyError, PreconditionError
 from .structure import build_digraph
 
@@ -96,17 +96,13 @@ def accessibility_check(dg):
     """
     if dg.p == 0:
         return (), tuple(range(1, dg.n + 1))
-    n_nodes = dg.n + dg.p
     src, dst = dg.arcs()
-    seeds = np.zeros(n_nodes, np.uint8)
-    seeds[dg.n:] = 1
-    mask = reachable(*csr_from_edges(n_nodes, np.column_stack([dst, src])),
-                     n_nodes, seeds)
-    accessible = []
-    inaccessible = []
-    for i in range(1, dg.n + 1):
-        (accessible if mask[i - 1] else inaccessible).append(i)
-    return tuple(accessible), tuple(inaccessible)
+    # One search from every measurement, labelled 0, over reversed arcs.
+    labels, _ = search(*csr_from_edges(dg.n + dg.p, np.column_stack([dst, src])),
+                       np.repeat([-1, 0], [dg.n, dg.p]))
+    states = range(1, dg.n + 1)
+    return (tuple(s for s in states if labels[s - 1] >= 0),
+            tuple(s for s in states if labels[s - 1] < 0))
 
 
 def block_form_certificate(sys):

@@ -95,10 +95,16 @@ class StructuredSystem:
             raise MalformedInputError(f"n must be a positive integer, got {self.n!r}")
         if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 0:
             raise MalformedInputError(f"p must be a non-negative integer, got {self.p!r}")
-        object.__setattr__(self, "a_pattern", frozenset(self.a_pattern))
-        object.__setattr__(self, "h_pattern", frozenset(self.h_pattern))
-        _check_pattern("a_pattern", self.a_pattern, self.n, self.n)
-        _check_pattern("h_pattern", self.h_pattern, self.p, self.n)
+        for name, n_rows in (("a_pattern", self.n), ("h_pattern", self.p)):
+            entries = getattr(self, name)
+            try:
+                pattern = frozenset(entries)
+            except TypeError:
+                # Only an entry that is no pair of integers is unhashable.
+                _check_pattern(name, entries, n_rows, self.n)
+                raise
+            object.__setattr__(self, name, pattern)
+            _check_pattern(name, pattern, n_rows, self.n)
 
     @classmethod
     def from_entries(cls, n, p, a_entries, h_entries=()):
@@ -110,7 +116,10 @@ class StructuredSystem:
         patterns = []
         for name, entries in (("a", a_entries), ("h", h_entries)):
             entries = [tuple(e) for e in entries]
-            pattern = frozenset(entries)
+            try:
+                pattern = frozenset(entries)
+            except TypeError:  # the constructor names the unhashable entry
+                pattern = entries
             if len(pattern) != len(entries):
                 # Only a pattern known to repeat an entry is scanned for it.
                 seen = set()

@@ -93,6 +93,19 @@ class TestAnalyze:
         assert err.startswith("obspart: error:") and err.count("\n") == 1
         assert "not UTF-8" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 2, "p": 0, "a": [[1, [2]]], "h": []},
+         "a_pattern entry (1, [2]) is not a pair of integers"),
+        ({"n": 2, "p": 1, "a": [], "h": [[1, {"x": 1}]]},
+         "h_pattern entry (1, {'x': 1}) is not a pair of integers"),
+    ])
+    def test_unhashable_entry_one_line(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "unhashable.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"obspart: error: {message}\n"
+
     def test_degenerate_star_one_short_line(self, tmp_path, capsys):
         # 200 states all feed state 201: 199 unmatched seeds clash.
         doc = {"n": 201, "p": 0, "a": [[201, i] for i in range(1, 201)], "h": []}

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from obspart import ParameterError, export_dot, partition_report
@@ -95,6 +96,33 @@ class TestExportDot:
 
     def test_deterministic(self, fix15):
         assert export_dot(fix15) == export_dot(fix15)
+
+    def test_arcs_in_label_pair_order(self):
+        # Arcs sorted as (source, target) label pairs, as in the reference
+        # below; with 12 states and 11 rows, "x10" sorts before "x2" and
+        # "y10" before "y2", and every "x1" arc before every "x10" arc.
+        rng = np.random.default_rng(3)
+        n, p = 12, 11
+        a = {(int(i), int(j)) for i, j in rng.integers(1, n + 1, (60, 2))}
+        a |= {(10, 1), (2, 1), (1, 10), (1, 2)}
+        h = {(int(i), int(j)) for i, j in zip(rng.integers(1, p + 1, 30),
+                                              rng.integers(1, n + 1, 30))}
+        h |= {(k, 1) for k in range(1, p + 1)}
+        sys = S(n, p, sorted(a), sorted(h))
+        reference = [
+            f'  "{src}" -> "{dst}";'
+            for src, dst in sorted(
+                [(f"x{j}", f"x{i}") for i, j in a]
+                + [(f"x{j}", f"y{i}") for i, j in h]
+            )
+        ]
+        arcs = [line for line in export_dot(sys, color_by="scc").split("\n")
+                if "->" in line]
+        assert arcs == reference
+        for first, second in [('"x1" -> "x10"', '"x1" -> "x2"'),
+                              ('"x1" -> "y10"', '"x1" -> "y2"'),
+                              ('"x1" -> "y2"', '"x10" -> "x1"')]:
+            assert arcs.index(f"  {first};") < arcs.index(f"  {second};")
 
 
 class TestClassBudget:

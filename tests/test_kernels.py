@@ -107,12 +107,14 @@ class TestSystemGraphArrays:
         assert type(n_comp) is int
         assert comp.tolist() == [1, 1, 1, 0]  # the sink {4} pops first
 
-    def test_reachable(self, graph):
-        seeds = np.zeros(graph.n, np.uint8)
-        seeds[3] = 1
-        mask = K.reachable(graph.indptr, graph.indices, graph.n, seeds)
-        assert mask.dtype == np.uint8
-        assert mask.tolist() == [0, 0, 0, 1]
+    def test_search(self, graph):
+        # 0 -> 1 -> 2 -> 0 and 2 -> 3, and a loop at 3.
+        owner = np.array([5, -1, -1, 2])
+        owner.flags.writeable = False
+        labels, clashes = K.search(graph.indptr, graph.indices, owner)
+        assert labels == [5, 5, 5, 2]
+        assert clashes == [(2, 5)]
+        assert owner.tolist() == [5, -1, -1, 2]
 
 
 class TestCsr:
@@ -242,18 +244,22 @@ class TestWarmStart:
         assert start.tolist() == [0, -1, -1]
 
 
+def random_arcs(data, n):
+    return sorted(data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=3 * n, unique=True,
+        )
+    ))
+
+
 class TestTarjan:
     @given(st.data())
     @settings(max_examples=40)
     def test_matches_brute_force(self, data):
         n = data.draw(st.integers(1, 7))
-        arcs = data.draw(
-            st.lists(
-                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                max_size=3 * n, unique=True,
-            )
-        )
-        comp, n_comp = K.tarjan_scc(*K.csr_from_edges(n, sorted(arcs)), n)
+        arcs = random_arcs(data, n)
+        comp, n_comp = K.tarjan_scc(*K.csr_from_edges(n, arcs), n)
         groups = {}
         for v in range(n):
             groups.setdefault(int(comp[v]), set()).add(v)
@@ -266,21 +272,41 @@ class TestTarjan:
         assert comp[2] < comp[1] < comp[0]
 
 
-class TestReachable:
+class TestSearch:
     @given(st.data())
     @settings(max_examples=40)
-    def test_matches_bfs(self, data):
+    def test_one_label_matches_bfs(self, data):
         n = data.draw(st.integers(1, 8))
-        arcs = data.draw(
-            st.lists(
-                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                max_size=3 * n, unique=True,
-            )
-        )
+        arcs = random_arcs(data, n)
         seed_nodes = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-        seeds = np.zeros(n, dtype=np.uint8)
-        for s in seed_nodes:
-            seeds[s] = 1
-        mask = K.reachable(*K.csr_from_edges(n, sorted(arcs)), n, seeds)
-        assert {v for v in range(n) if mask[v]} == bfs_reach(n, arcs, seed_nodes)
+        owner = np.full(n, -1)
+        owner[list(seed_nodes)] = 0
+        labels, clashes = K.search(*K.csr_from_edges(n, arcs), owner)
+        assert {v for v in range(n) if labels[v] >= 0} == bfs_reach(n, arcs, seed_nodes)
+        assert set(labels) <= {-1, 0}
+        assert clashes == []
 
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_several_labels(self, data):
+        n = data.draw(st.integers(1, 8))
+        arcs = random_arcs(data, n)
+        seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        # Distinct labels, not in seed order, so that a label is no node id.
+        label_of = dict(zip(seeds, data.draw(st.permutations(range(len(seeds))))))
+        owner = np.full(n, -1)
+        for seed, label in label_of.items():
+            owner[seed] = label
+        labels, clashes = K.search(*K.csr_from_edges(n, arcs), owner)
+
+        reach = {label: bfs_reach(n, arcs, [seed]) for seed, label in label_of.items()}
+        assert {v for v in range(n) if labels[v] >= 0} == set().union(*reach.values())
+        for v, label in enumerate(labels):
+            if label >= 0:
+                assert v in reach[label]
+        disjoint = all(not (reach[a] & reach[b])
+                       for a in reach for b in reach if a < b)
+        assert (clashes == []) == disjoint
+        assert clashes == sorted(set(clashes))
+        for a, b in clashes:
+            assert a < b and reach[a] & reach[b]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -50,6 +52,11 @@ class TestRealize:
             realize(chain3, seed=-1)
         with pytest.raises(ParameterError, match="trial"):
             realize(chain3, trial=-2)
+        for flag in (True, False):
+            with pytest.raises(ParameterError, match="seed"):
+                realize(chain3, seed=flag)
+            with pytest.raises(ParameterError, match="trial"):
+                realize(chain3, trial=flag)
 
 
 def block_chain(rng, n, sensors):
@@ -122,6 +129,8 @@ class TestModalVote:
     def test_trials_validation(self, chain3):
         with pytest.raises(ParameterError, match="trials"):
             modal_gramian_rank(chain3, trials=0)
+        with pytest.raises(ParameterError, match="trials"):
+            modal_gramian_rank(chain3, trials=True)
 
     @given(systems(n_max=6))
     def test_mode_is_lowest_among_most_frequent(self, sys):
@@ -175,6 +184,15 @@ class TestPbh:
 
 
 class TestRankReport:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"trials": True}, "trials must be a positive integer, got True"),
+        ({"tol": True}, "tol must be positive, got True"),
+        ({"seed": True}, "seed must be a non-negative integer, got True"),
+    ])
+    def test_bools_rejected(self, chain3, kwargs, message):
+        with pytest.raises(ParameterError, match=rf"^{re.escape(message)}$"):
+            rank_report(chain3, **kwargs)
+
     def test_chain_report(self, chain3):
         report = rank_report(chain3, trials=3)
         assert report.n == 3

@@ -29,6 +29,8 @@ BAD_ENTRIES = {
     "float": lambda i, j, rows, n: (i + 0.5, j),
     "3-tuple": lambda i, j, rows, n: (i, j, 1),
     "list": lambda i, j, rows, n: [i, j],
+    "pair holding a list": lambda i, j, rows, n: (i, [j]),
+    "dict": lambda i, j, rows, n: {i: j},
     "zero": lambda i, j, rows, n: (0, j),
     "row past the last": lambda i, j, rows, n: (rows + 1, j),
     "column past n": lambda i, j, rows, n: (i, n + 1),
@@ -92,9 +94,21 @@ class TestStructuredSystem:
         name = f"{which}_pattern"
         expected = _message(check_pattern_reference, name, entries, rows, n)
         assert _message(_check_pattern, name, entries, rows, n) == expected
-        if bad != "list":  # a list cannot join a frozenset
-            built = partial(StructuredSystem, n=n, p=p, **{name: entries})
-            assert _message(built) == expected
+        built = partial(StructuredSystem, n=n, p=p, **{name: entries})
+        assert _message(built) == expected
+
+    @pytest.mark.parametrize("a, h, message", [
+        ([[1, [2]]], [], "a_pattern entry (1, [2]) is not a pair of integers"),
+        ([], [[1, {"x": 1}]],
+         "h_pattern entry (1, {'x': 1}) is not a pair of integers"),
+    ])
+    def test_unhashable_entry_is_named_by_from_entries(self, a, h, message):
+        with pytest.raises(MalformedInputError, match=rf"^{re.escape(message)}$"):
+            StructuredSystem.from_entries(2, 1, a, h)
+
+    def test_sizes_are_checked_before_an_unhashable_entry(self):
+        with pytest.raises(MalformedInputError, match="n must be"):
+            StructuredSystem.from_entries("2", 0, [[1, [2]]])
 
     def test_int_and_tuple_subclasses_accepted(self):
         class Index(int):
