@@ -15,6 +15,7 @@ infeasible or out-of-domain structure; 4 verify disagreement.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys as _sys
@@ -103,7 +104,15 @@ def _add_common(parser):
                         help=f"relative singular-value threshold (default {DEFAULT_TOL})")
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built on the first call and then kept.
+
+    Every ``main`` call in a process reads this one parser, which is
+    shared and must not be modified.  Reuse is safe because each
+    ``parse_args`` fills a fresh namespace and ``--forbid``'s ``append``
+    copies its default list before appending to it.
+    """
     parser = argparse.ArgumentParser(
         prog="obspart",
         description="Structural observability analysis of sparse LTI systems.",
@@ -206,8 +215,7 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (MalformedInputError, ParameterError, PreconditionError) as exc:

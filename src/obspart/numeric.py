@@ -25,6 +25,7 @@ import numpy as np
 from .errors import NumericError, ParameterError
 from .matching import s_rank
 from .partition import theorem_check
+from .structure import _entries
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 5
@@ -62,19 +63,34 @@ def realize(sys, seed=DEFAULT_SEED, trial=0):
     if isinstance(trial, bool) or not (isinstance(trial, int) and trial >= 0):
         raise ParameterError(f"trial must be a non-negative integer, got {trial!r}")
     rng = np.random.default_rng([seed, trial])
-    a_entries = sys.sorted_a()
-    h_entries = sys.sorted_h()
-    count = len(a_entries) + len(h_entries)
+    a_offsets, h_offsets = sys.memo(_flat_offsets)
+    count = len(a_offsets) + len(h_offsets)
     magnitudes = np.exp(rng.uniform(_LOG_LO, _LOG_HI, size=count))
     signs = rng.integers(0, 2, size=count) * 2 - 1
     values = magnitudes * signs
-    a = np.zeros((sys.n, sys.n))
-    h = np.zeros((sys.p, sys.n))
-    for k, (i, j) in enumerate(a_entries):
-        a[i - 1, j - 1] = values[k]
-    for k, (i, j) in enumerate(h_entries):
-        h[i - 1, j - 1] = values[len(a_entries) + k]
-    return NumericRealization(a=a, h=h, seed=seed, trial=trial)
+    a = np.zeros(sys.n * sys.n)
+    h = np.zeros(sys.p * sys.n)
+    a[a_offsets] = values[:len(a_offsets)]
+    h[h_offsets] = values[len(a_offsets):]
+    return NumericRealization(a=a.reshape(sys.n, sys.n),
+                              h=h.reshape(sys.p, sys.n), seed=seed, trial=trial)
+
+
+def _flat_offsets(sys):
+    """Sorted flat offsets ``(i-1)*n + (j-1)`` of the A and the H entries.
+
+    Both matrices have n columns and j <= n, so offset order is the
+    (i, j) order of ``sorted_a()`` and ``sorted_h()``: ``realize`` hands
+    out its drawn values in that order.  Kept per system with ``memo``
+    as read-only int64 arrays.
+    """
+    offsets = []
+    for pattern in (sys.a_pattern, sys.h_pattern):
+        ij = _entries(pattern)
+        flat = np.sort((ij[:, 0] - 1) * sys.n + ij[:, 1] - 1)
+        flat.flags.writeable = False
+        offsets.append(flat)
+    return tuple(offsets)
 
 
 def _normalized_a(a):

@@ -98,6 +98,14 @@ class StructuredSystem:
         for name, n_rows in (("a_pattern", self.n), ("h_pattern", self.p)):
             entries = getattr(self, name)
             try:
+                items = iter(entries)
+            except TypeError:
+                raise MalformedInputError(
+                    f"{name} must be an iterable of entries, got {entries!r}"
+                ) from None
+            if items is entries:  # an iterator is read once: keep its entries
+                entries = list(items)
+            try:
                 pattern = frozenset(entries)
             except TypeError:
                 # Only an entry that is no pair of integers is unhashable.
@@ -115,11 +123,14 @@ class StructuredSystem:
         """
         patterns = []
         for name, entries in (("a", a_entries), ("h", h_entries)):
-            entries = [tuple(e) for e in entries]
+            entries = _as_tuples(entries)
             try:
                 pattern = frozenset(entries)
-            except TypeError:  # the constructor names the unhashable entry
-                pattern = entries
+            except TypeError:
+                # The constructor names the unhashable entry, or the
+                # pattern that is not iterable.
+                patterns.append(entries)
+                continue
             if len(pattern) != len(entries):
                 # Only a pattern known to repeat an entry is scanned for it.
                 seen = set()
@@ -218,6 +229,29 @@ class StructuredSystem:
         # Every layer shares these arrays, so none may write to them.
         indptr.flags.writeable = indices.flags.writeable = False
         return SystemGraph(n=self.n, p=self.p, indptr=indptr, indices=indices)
+
+
+def _as_tuples(entries):
+    """``entries`` as a list of tuples, for ``from_entries``.
+
+    An entry that is not iterable is kept as it is, and so is a pattern
+    that is not iterable, so that the constructor names it.
+    """
+    try:
+        entries = list(entries)
+    except TypeError:
+        return entries
+    try:
+        return [tuple(e) for e in entries]
+    except TypeError:
+        return [_as_tuple(e) for e in entries]
+
+
+def _as_tuple(entry):
+    try:
+        return tuple(entry)
+    except TypeError:
+        return entry
 
 
 def _entries(pattern):

@@ -5,6 +5,7 @@ linear algebra, permutation search.  None of it shares code with the
 package's algorithms, so agreement is meaningful.
 """
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
@@ -275,6 +276,27 @@ def exact_krylov_rank(n, a_entries, h_entries, seed=0, draws=2):
             rref, pivots, frontier = _gf_extend(rref, pivots, grown)
         best = max(best, len(pivots))
     return best
+
+
+# ---------------------------------------------------------------------------
+# numeric realizations, one entry at a time
+
+def realize_reference(sys, seed, trial):
+    """(A, H) of ``obspart.realize``, scattered entry by entry in (i, j) order."""
+    rng = np.random.default_rng([seed, trial])
+    a_entries = sys.sorted_a()
+    h_entries = sys.sorted_h()
+    count = len(a_entries) + len(h_entries)
+    magnitudes = np.exp(rng.uniform(math.log(0.5), math.log(2.0), size=count))
+    signs = rng.integers(0, 2, size=count) * 2 - 1
+    values = magnitudes * signs
+    a = np.zeros((sys.n, sys.n))
+    h = np.zeros((sys.p, sys.n))
+    for k, (i, j) in enumerate(a_entries):
+        a[i - 1, j - 1] = values[k]
+    for k, (i, j) in enumerate(h_entries):
+        h[i - 1, j - 1] = values[len(a_entries) + k]
+    return a, h
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import subprocess
@@ -11,8 +12,11 @@ if sys.version_info >= (3, 11):
 else:  # pytest itself depends on tomli before 3.11
     import tomli as tomllib
 
+import obspart
 from obspart import cli
 from conftest import FIX15_A
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CHAIN_DOC = {"n": 3, "p": 1, "a": [[2, 1], [3, 2]], "h": [[1, 3]]}
 FIX15_DOC = {"n": 15, "p": 0, "a": [list(e) for e in sorted(FIX15_A)], "h": []}
@@ -301,6 +305,67 @@ class TestMatrixMarketInput:
         assert doc["n"] == 3 and doc["p"] == 0
         assert doc["observable"] is False  # no measurements yet
         assert doc["alpha_classes"] == [[3]]
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process."""
+
+    def test_forbid_does_not_leak_into_the_next_call(self, capsys):
+        path = str(GOLDEN / "fix15_sensors.json")
+        expected = {command: (GOLDEN / "fix15_sensors" / f"{command}.txt")
+                    .read_text(encoding="utf-8")
+                    for command in ("place", "place_forbid")}
+        argv = ["place", path, "--seed", "42"]
+        for _ in range(2):
+            code, out, _ = run_cli(argv + ["--forbid", "12"], capsys)
+            assert (code, out) == (0, expected["place_forbid"])
+            code, out, _ = run_cli(argv, capsys)
+            assert (code, out) == (0, expected["place"])
+            assert json.loads(out)["forbidden"] == []
+
+    def test_good_call_after_an_argparse_rejection(self, chain_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: path" in capsys.readouterr().err
+        code, out, err = run_cli(["analyze", chain_path], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["observable"] is True
+
+    def test_version_keeps_exiting_zero(self, chain_path, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"obspart {obspart.__version__}\n"
+            assert run_cli(["verify", chain_path], capsys)[0] == 0
+
+    def test_parser_built_once_per_process(self, chain_path, fix15_path,
+                                           capsys, monkeypatch):
+        assert run_cli(["verify", chain_path], capsys)[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (["analyze", fix15_path], ["place", fix15_path, "--forbid", "4"],
+                     ["verify", chain_path], ["export-dot", chain_path]):
+            assert run_cli(argv, capsys)[0] == 0
+        with pytest.raises(SystemExit):
+            cli.main(["place"])
+        assert built == []
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parser_not_built_at_import(self):
+        script = ("import obspart.cli\n"
+                  "print(obspart.cli.build_parser.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestConsoleScript:

@@ -55,6 +55,18 @@ def test_golden_report(case, command):
     assert _run(case, command) == expected
 
 
+def test_golden_reports_replayed_in_one_process():
+    # Every call shares one parser and one set of module state, so run all
+    # cases back to back in reverse order: each place_forbid runs right
+    # before its plain place, whose report must not see the forbidden state.
+    calls = sorted((case, command) for case in FORBID for command in COMMANDS)
+    calls.reverse()
+    assert len(calls) == 35
+    for case, command in calls:
+        expected = (GOLDEN / case / f"{command}.txt").read_text(encoding="utf-8")
+        assert _run(case, command) == expected, (case, command)
+
+
 def _write_inputs():
     import numpy as np
 

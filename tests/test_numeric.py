@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from obspart import (
     NumericRealization,
@@ -18,8 +19,9 @@ from obspart import (
     verify_alpha_equivalence,
     verify_beta_equivalence,
 )
+from obspart.numeric import _flat_offsets
 from conftest import S
-from oracles import exact_krylov_rank, obs_stack
+from oracles import exact_krylov_rank, obs_stack, realize_reference
 from strategies import systems
 
 
@@ -46,6 +48,33 @@ class TestRealize:
         r = realize(S(2, 0, []))
         assert r.a.shape == (2, 2) and not r.a.any()
         assert r.h.shape == (0, 2)
+
+    @given(systems(p_max=3), st.lists(st.integers(1, 8), max_size=3),
+           st.integers(0, 3), st.integers(0, 2**32 - 1), st.integers(0, 9))
+    def test_matches_the_entry_by_entry_scatter(self, sys, sensors, drop, seed, trial):
+        sensors = [min(s, sys.n) for s in sensors]
+        derived = [sys, sys.with_sensor_rows(sensors)]
+        if 1 <= drop <= sys.p:
+            derived.append(sys.without_row(drop))
+        for system in derived:
+            for draw in ((seed, trial), (seed, trial + 1), (42, 0)):
+                r = realize(system, *draw)
+                a, h = realize_reference(system, *draw)
+                assert r.a.shape == (system.n, system.n)
+                assert r.h.shape == (system.p, system.n)
+                assert r.a.dtype == r.h.dtype == np.float64
+                np.testing.assert_array_equal(r.a, a)
+                np.testing.assert_array_equal(r.h, h)
+
+    def test_kept_offsets_are_read_only(self, fix15):
+        sys = fix15.with_sensor_rows([4, 9])
+        realize(sys)
+        a_offsets, h_offsets = sys.memo(_flat_offsets)
+        for offsets in (a_offsets, h_offsets):
+            assert offsets.dtype == np.int64 and not offsets.flags.writeable
+            with pytest.raises(ValueError):
+                offsets[0] = 0
+        assert sys.memo(_flat_offsets)[0] is a_offsets
 
     def test_parameter_validation(self, chain3):
         with pytest.raises(ParameterError, match="seed"):

@@ -101,10 +101,31 @@ class TestStructuredSystem:
         ([[1, [2]]], [], "a_pattern entry (1, [2]) is not a pair of integers"),
         ([], [[1, {"x": 1}]],
          "h_pattern entry (1, {'x': 1}) is not a pair of integers"),
+        ([5], [], "a_pattern entry 5 is not a pair of integers"),
+        ([(1, 2)], [7], "h_pattern entry 7 is not a pair of integers"),
+        ([(1, 2), 5, [2, 1]], [], "a_pattern entry 5 is not a pair of integers"),
+        (iter([(1, 2), [1, [2]]]), [],
+         "a_pattern entry (1, [2]) is not a pair of integers"),
+        (5, [], "a_pattern must be an iterable of entries, got 5"),
     ])
     def test_unhashable_entry_is_named_by_from_entries(self, a, h, message):
         with pytest.raises(MalformedInputError, match=rf"^{re.escape(message)}$"):
             StructuredSystem.from_entries(2, 1, a, h)
+
+    @pytest.mark.parametrize("pattern, message", [
+        (5, "a_pattern must be an iterable of entries, got 5"),
+        (None, "a_pattern must be an iterable of entries, got None"),
+        (iter([(1, 2), [1, [2]]]),
+         "a_pattern entry [1, [2]] is not a pair of integers"),
+    ])
+    def test_pattern_that_is_no_collection_of_pairs_is_named(self, pattern, message):
+        with pytest.raises(MalformedInputError, match=rf"^{re.escape(message)}$"):
+            StructuredSystem(n=2, p=0, a_pattern=pattern)
+
+    def test_iterator_pattern_accepted(self):
+        sys = StructuredSystem(n=3, p=1, a_pattern=iter([(2, 1), (3, 2)]),
+                               h_pattern=((1, j) for j in [3]))
+        assert sys == S(3, 1, [(2, 1), (3, 2)], [(1, 3)])
 
     def test_sizes_are_checked_before_an_unhashable_entry(self):
         with pytest.raises(MalformedInputError, match="n must be"):
