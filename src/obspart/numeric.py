@@ -7,7 +7,8 @@ in [0.5, 2] with random signs, deterministic per (seed, trial) — and
 checks the claims with plain linear algebra.  One orthonormal basis of the
 observable row space, the span of [H; HA; ...; HA^(n-1)], is grown per
 realization: only the directions added at the previous step are
-multiplied by A, so each step costs one small SVD.  Its row count is the
+multiplied by A, so each step costs one small SVD, and the trials of one
+call grow in lockstep, sharing that SVD.  Its row count is the
 observability rank, and the restriction of A to its orthogonal
 complement carries exactly the unobservable modes, the eigenvalues at
 which the eigenvector test on [A - lambda*I; H] fails (compare Paige's
@@ -30,6 +31,10 @@ from .structure import _entries
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 5
 DEFAULT_TOL = 1e-8
+
+# Trials realized and grown together; memory is O(_TRIAL_BLOCK * n^2)
+# whatever the trial count.
+_TRIAL_BLOCK = 8
 
 _LOG_LO = math.log(0.5)
 _LOG_HI = math.log(2.0)
@@ -56,32 +61,49 @@ def _check_trials(trials):
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
 
 
-def realize(sys, seed=DEFAULT_SEED, trial=0):
-    """Draw values on the pattern; deterministic for a (seed, trial) pair."""
+def _check_seed(seed):
     if isinstance(seed, bool) or not (isinstance(seed, int) and seed >= 0):
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def realize(sys, seed=DEFAULT_SEED, trial=0):
+    """Draw values on the pattern; deterministic for a (seed, trial) pair."""
+    _check_seed(seed)
     if isinstance(trial, bool) or not (isinstance(trial, int) and trial >= 0):
         raise ParameterError(f"trial must be a non-negative integer, got {trial!r}")
-    rng = np.random.default_rng([seed, trial])
+    a, h = _realize_stack(sys, seed, (trial,))
+    return NumericRealization(a=a[0], h=h[0], seed=seed, trial=trial)
+
+
+def _realize_stack(sys, seed, trials):
+    """(A, H) stacks of shape (T, n, n) and (T, p, n), one per trial.
+
+    Each trial draws from ``default_rng([seed, trial])`` exactly as a lone
+    ``realize`` would, and both scatters run once for the whole stack
+    through the kept flat offsets.
+    """
     a_offsets, h_offsets = sys.memo(_flat_offsets)
     count = len(a_offsets) + len(h_offsets)
-    magnitudes = np.exp(rng.uniform(_LOG_LO, _LOG_HI, size=count))
-    signs = rng.integers(0, 2, size=count) * 2 - 1
-    values = magnitudes * signs
-    a = np.zeros(sys.n * sys.n)
-    h = np.zeros(sys.p * sys.n)
-    a[a_offsets] = values[:len(a_offsets)]
-    h[h_offsets] = values[len(a_offsets):]
-    return NumericRealization(a=a.reshape(sys.n, sys.n),
-                              h=h.reshape(sys.p, sys.n), seed=seed, trial=trial)
+    values = np.empty((len(trials), count))
+    for row, trial in zip(values, trials):
+        rng = np.random.default_rng([seed, trial])
+        magnitudes = np.exp(rng.uniform(_LOG_LO, _LOG_HI, size=count))
+        signs = rng.integers(0, 2, size=count) * 2 - 1
+        row[:] = magnitudes * signs
+    a = np.zeros((len(trials), sys.n * sys.n))
+    h = np.zeros((len(trials), sys.p * sys.n))
+    a[:, a_offsets] = values[:, :len(a_offsets)]
+    h[:, h_offsets] = values[:, len(a_offsets):]
+    return (a.reshape(len(trials), sys.n, sys.n),
+            h.reshape(len(trials), sys.p, sys.n))
 
 
 def _flat_offsets(sys):
     """Sorted flat offsets ``(i-1)*n + (j-1)`` of the A and the H entries.
 
     Both matrices have n columns and j <= n, so offset order is the
-    (i, j) order of ``sorted_a()`` and ``sorted_h()``: ``realize`` hands
-    out its drawn values in that order.  Kept per system with ``memo``
+    (i, j) order of ``sorted_a()`` and ``sorted_h()``: ``_realize_stack``
+    hands out each trial's drawn values in that order.  Kept per system with ``memo``
     as read-only int64 arrays.
     """
     offsets = []
@@ -93,17 +115,6 @@ def _flat_offsets(sys):
     return tuple(offsets)
 
 
-def _normalized_a(a):
-    # Scale by the max absolute row sum so powers neither blow up nor decay
-    # below the rank threshold; c*A and A normalize to the same matrix, so
-    # rank verdicts are scale-invariant.  Block rows pick up s^k > 0, which
-    # leaves the rank untouched.
-    scale = np.abs(a).sum(axis=1).max()
-    if scale > 0:
-        return a / scale
-    return a
-
-
 def _svd_rank(matrix, tol):
     if matrix.size == 0:
         return 0
@@ -113,48 +124,104 @@ def _svd_rank(matrix, tol):
     return int((sv > tol * sv[0]).sum())
 
 
-def _observable_basis(r, tol):
-    """Orthonormal rows spanning the row space of [H; HA; ...; HA^(n-1)].
+def _observable_bases(a, h, tol):
+    """Orthonormal rows spanning the row space of [H; HA; ...; HA^(n-1)],
+    grown for a whole stack of realizations in lockstep.
+
+    ``a`` is a (T, n, n) stack the caller owns: each A is scaled in place
+    by its max absolute row sum, so powers neither blow up nor decay below
+    the threshold (c*A and A scale to the same matrix, and the rows of a
+    block pick up s^k > 0, which leaves the rank alone).  ``h`` is a
+    (T, p, n) stack.  Returns a (T, n, n) buffer and the row count of
+    each trial; trial t's basis is ``basis[t, :counts[t]]``.
 
     H's row space is taken first, with a threshold relative to its own
     largest singular value.  Each step then multiplies only the frontier,
-    the directions the previous step added, by the normalized A, projects
-    the basis out of the product twice (once is not enough to reach
-    working precision), and keeps the directions of the remainder above
-    ``tol``: the frontier rows have unit length and the normalized A has
-    unit infinity-norm, so ``tol`` is relative to both.  The loop stops
-    when a step adds nothing: the basis then spans an A-invariant space.
-    Nothing is multiplied by A twice before it is orthonormalized, so
-    genuine directions do not decay below the threshold the way the rows
-    of explicit powers do.
+    the last rows the previous step added, by the scaled A, projects the
+    basis out of the product twice (once is not enough to reach working
+    precision), and keeps the directions of the remainder above ``tol``,
+    at most n - r of them, the largest first: the frontier rows have unit
+    length and the scaled A has unit infinity-norm, so ``tol`` is relative
+    to both.  A trial stops when a step adds nothing (its basis then spans
+    an A-invariant space) or when it holds n rows.  Nothing is multiplied
+    by A twice before it is orthonormalized, so genuine directions do not
+    decay below the threshold the way the rows of explicit powers do.
+
+    The trials that share a (rank, frontier size) go through each step
+    together: one stacked product, two stacked projections and one
+    stacked SVD.  Stacked ``matmul`` and ``svd`` run the same BLAS and
+    LAPACK routine on each matrix as a lone call, so every basis is
+    bitwise the one a trial grown alone would get.
     """
-    a = _normalized_a(r.a)
-    n = a.shape[0]
-    if not r.h.any():
-        return np.zeros((0, n))
-    _, sv, vt = np.linalg.svd(r.h, full_matrices=False)
-    basis = vt[sv > tol * sv[0]]
-    frontier = basis
-    while frontier.shape[0] and basis.shape[0] < n:
-        grown = frontier @ a
-        for _ in range(2):
-            grown -= (grown @ basis.T) @ basis
-        _, sv, vt = np.linalg.svd(grown, full_matrices=False)
-        frontier = vt[sv > tol]
-        basis = np.vstack([basis, frontier])
-    return basis
+    trials, n = a.shape[0], a.shape[1]
+    scale = np.abs(a).sum(axis=2).max(axis=1)
+    a /= np.where(scale > 0, scale, 1.0)[:, None, None]
+    basis = np.empty((trials, n, n))
+    counts = np.zeros(trials, dtype=np.int64)
+    frontier = np.zeros(trials, dtype=np.int64)
+    live = np.flatnonzero(h.any(axis=(1, 2)))
+    if live.size:
+        _, sv, vt = np.linalg.svd(h[live], full_matrices=False)
+        kept = (sv > tol * sv[:, :1]).sum(axis=1)
+        basis[live, :vt.shape[1]] = vt
+        counts[live] = frontier[live] = kept
+    while True:
+        groups = {}
+        for t in np.flatnonzero((frontier > 0) & (counts < n)).tolist():
+            groups.setdefault((counts[t], frontier[t]), []).append(t)
+        if not groups:
+            return basis, counts
+        for (r, f), members in groups.items():
+            if members[-1] - members[0] == len(members) - 1:
+                members = slice(members[0], members[-1] + 1)
+            grown = basis[members, r - f:r] @ a[members]
+            span = basis[members, :r]
+            for _ in range(2):
+                grown -= (grown @ span.transpose(0, 2, 1)) @ span
+            _, sv, vt = np.linalg.svd(grown, full_matrices=False)
+            kept = np.minimum((sv > tol).sum(axis=1), n - r)
+            rows = vt[:, :n - r]
+            basis[members, r:r + rows.shape[1]] = rows
+            counts[members] = r + kept
+            frontier[members] = kept
+
+
+def _trial_ranks(sys, seed, trials, tol):
+    """Observability rank of each of trials 0..trials-1, with trial 0's
+    realization and basis.
+
+    Trials are realized and grown ``_TRIAL_BLOCK`` at a time, so memory
+    stays O(block * n^2) however many trials there are.
+    """
+    _check_seed(seed)
+    ranks = []
+    for start in range(0, trials, _TRIAL_BLOCK):
+        a, h = _realize_stack(sys, seed, range(start, min(start + _TRIAL_BLOCK, trials)))
+        if start == 0:
+            first = NumericRealization(a=a[0].copy(), h=h[0], seed=seed, trial=0)
+        basis, counts = _observable_bases(a, h, tol)
+        if start == 0:
+            first_basis = basis[0, :counts[0]].copy()
+        ranks += counts.tolist()
+    return ranks, first, first_basis
+
+
+def _single_basis(r, tol):
+    """The observable basis of one realization, which is left unwritten."""
+    basis, counts = _observable_bases(np.array(r.a, dtype=float)[None], r.h[None], tol)
+    return basis[0, :counts[0]]
 
 
 def gramian_rank(r, tol=DEFAULT_TOL):
     """Rank of the stacked observability matrix of one realization.
 
-    It is the row count of the orthonormal basis ``_observable_basis``
+    It is the row count of the orthonormal basis ``_observable_bases``
     grows one frontier at a time; the powers of A are never formed, and
     each step costs one SVD of at most p rows, so the whole rank is
     O(n^3).
     """
     _check_tol(tol)
-    return _observable_basis(r, tol).shape[0]
+    return _single_basis(r, tol).shape[0]
 
 
 def _modal(ranks):
@@ -167,7 +234,8 @@ def _modal(ranks):
 def modal_gramian_rank(sys, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
     """(modal rank, agreement fraction) over ``trials`` realizations."""
     _check_trials(trials)
-    return _modal([gramian_rank(realize(sys, seed, t), tol) for t in range(trials)])
+    _check_tol(tol)
+    return _modal(_trial_ranks(sys, seed, trials, tol)[0])
 
 
 def _eigvals(matrix, a):
@@ -235,7 +303,7 @@ def pbh_check(r, tol=DEFAULT_TOL):
     eigenvalue.
     """
     _check_tol(tol)
-    return _unobservable_modes(r, _observable_basis(r, tol), tol)
+    return _unobservable_modes(r, _single_basis(r, tol), tol)
 
 
 @dataclass(frozen=True)
@@ -255,22 +323,15 @@ class RankReport:
 def rank_report(sys, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
     """Per-trial ranks, their modal vote, and the PBH side of the oracle.
 
-    One observable basis per trial serves both the rank and the PBH
-    test.  ``pbh_check`` lists an eigenvalue exactly when the rank falls
-    short of n, so each trial's PBH verdict is read off its rank, and the
-    eigensolves run for trial 0 only, whose deficient eigenvalues are
-    reported.
+    One observable basis per trial, grown for all trials in lockstep,
+    serves both the rank and the PBH test.  ``pbh_check`` lists an
+    eigenvalue exactly when the rank falls short of n, so each trial's
+    PBH verdict is read off its rank, and the eigensolves run for trial 0
+    only, whose deficient eigenvalues are reported.
     """
     _check_trials(trials)
     _check_tol(tol)
-    ranks = []
-    pbh_first = ()
-    for t in range(trials):
-        r = realize(sys, seed, t)
-        basis = _observable_basis(r, tol)
-        ranks.append(basis.shape[0])
-        if t == 0:
-            pbh_first = _unobservable_modes(r, basis, tol)
+    ranks, first, first_basis = _trial_ranks(sys, seed, trials, tol)
     modal, agreement = _modal(ranks)
     return RankReport(
         n=sys.n,
@@ -279,7 +340,7 @@ def rank_report(sys, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
         gramian_rank=modal,
         agreement=agreement,
         gramian_ranks=tuple(ranks),
-        pbh_rank_deficient_eigenvalues=pbh_first,
+        pbh_rank_deficient_eigenvalues=_unobservable_modes(first, first_basis, tol),
         pbh_observable=tuple(k == sys.n for k in ranks),
     )
 
@@ -350,9 +411,5 @@ def generic_agreement(sys, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, tol=DEFAULT
     _check_trials(trials)
     _check_tol(tol)
     structural = theorem_check(sys).observable
-    hits = 0
-    for t in range(trials):
-        numeric = gramian_rank(realize(sys, seed, t), tol) == sys.n
-        if numeric == structural:
-            hits += 1
-    return hits / trials
+    ranks, _, _ = _trial_ranks(sys, seed, trials, tol)
+    return sum((rank == sys.n) == structural for rank in ranks) / trials

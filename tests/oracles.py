@@ -319,3 +319,49 @@ def check_pattern_reference(name, pattern, n_rows, n_cols):
                 f"{name} entry ({i}, {j}) out of range for a "
                 f"{n_rows}x{n_cols} pattern"
             )
+
+
+# ---------------------------------------------------------------------------
+# the observable basis of one realization, grown on its own
+
+def normalized_a(a):
+    # Scale by the max absolute row sum so powers neither blow up nor decay
+    # below the rank threshold; c*A and A normalize to the same matrix, so
+    # rank verdicts are scale-invariant.  Block rows pick up s^k > 0, which
+    # leaves the rank untouched.
+    scale = np.abs(a).sum(axis=1).max()
+    if scale > 0:
+        return a / scale
+    return a
+
+
+def observable_basis_reference(r, tol):
+    """Orthonormal rows spanning the row space of [H; HA; ...; HA^(n-1)].
+
+    H's row space is taken first, with a threshold relative to its own
+    largest singular value.  Each step then multiplies only the frontier,
+    the directions the previous step added, by the normalized A, projects
+    the basis out of the product twice (once is not enough to reach
+    working precision), and keeps the directions of the remainder above
+    ``tol``: the frontier rows have unit length and the normalized A has
+    unit infinity-norm, so ``tol`` is relative to both.  The loop stops
+    when a step adds nothing: the basis then spans an A-invariant space.
+    Nothing is multiplied by A twice before it is orthonormalized, so
+    genuine directions do not decay below the threshold the way the rows
+    of explicit powers do.
+    """
+    a = normalized_a(r.a)
+    n = a.shape[0]
+    if not r.h.any():
+        return np.zeros((0, n))
+    _, sv, vt = np.linalg.svd(r.h, full_matrices=False)
+    basis = vt[sv > tol * sv[0]]
+    frontier = basis
+    while frontier.shape[0] and basis.shape[0] < n:
+        grown = frontier @ a
+        for _ in range(2):
+            grown -= (grown @ basis.T) @ basis
+        _, sv, vt = np.linalg.svd(grown, full_matrices=False)
+        frontier = vt[sv > tol]
+        basis = np.vstack([basis, frontier])
+    return basis

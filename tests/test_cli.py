@@ -269,6 +269,18 @@ class TestVerify:
         assert code == 4
         assert json.loads(out)["verdicts_agree"] is False
 
+    def test_tiny_tolerance_never_grows_past_n(self, tmp_path, capsys):
+        # at tol 1e-17 rounding noise cleared the threshold, the basis
+        # grew to 4 rows for 3 states and the PBH step crashed
+        path = tmp_path / "sensed.json"
+        path.write_text(json.dumps({"n": 3, "p": 3,
+                                    "a": [[1, 2], [1, 3], [2, 2], [2, 3]],
+                                    "h": [[1, 1], [2, 2], [3, 1]]}))
+        code, out, err = run_cli(["verify", str(path), "--tol", "1e-17"], capsys)
+        assert code == 0, err
+        ranks = json.loads(out)["rank"]["gramian_ranks"]
+        assert len(ranks) == 5 and all(r <= 3 for r in ranks)
+
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol(self, chain_path, capsys, tol):
         code, out, err = run_cli(["verify", chain_path, "--tol", tol], capsys)

@@ -19,9 +19,16 @@ from obspart import (
     verify_alpha_equivalence,
     verify_beta_equivalence,
 )
-from obspart.numeric import _flat_offsets
+import obspart.numeric as numeric
+from obspart.numeric import _TRIAL_BLOCK, _flat_offsets, _observable_bases, _realize_stack
 from conftest import S
-from oracles import exact_krylov_rank, obs_stack, realize_reference
+from oracles import (
+    exact_krylov_rank,
+    normalized_a,
+    obs_stack,
+    observable_basis_reference,
+    realize_reference,
+)
 from strategies import systems
 
 
@@ -65,6 +72,17 @@ class TestRealize:
                 assert r.a.dtype == r.h.dtype == np.float64
                 np.testing.assert_array_equal(r.a, a)
                 np.testing.assert_array_equal(r.h, h)
+
+    @given(systems(p_max=3), st.integers(0, 2**32 - 1), st.integers(1, 9))
+    def test_each_trial_of_the_stack_is_a_lone_realization(self, sys, seed, trials):
+        a, h = _realize_stack(sys, seed, range(trials))
+        assert a.shape == (trials, sys.n, sys.n)
+        assert h.shape == (trials, sys.p, sys.n)
+        for t in range(trials):
+            r = realize(sys, seed, t)
+            ref_a, ref_h = realize_reference(sys, seed, t)
+            for got, want in ((r.a, a[t]), (r.h, h[t]), (r.a, ref_a), (r.h, ref_h)):
+                assert got.tobytes() == want.tobytes()
 
     def test_kept_offsets_are_read_only(self, fix15):
         sys = fix15.with_sensor_rows([4, 9])
@@ -147,6 +165,123 @@ class TestGramianRank:
             scaled = NumericRealization(a=c * r.a, h=r.h, seed=r.seed,
                                         trial=r.trial)
             assert gramian_rank(scaled) == base
+
+
+# n = 12, p = 3: at tol 1e-3 and the default seed the five trials' ranks
+# are (8, 8, 7, 8, 8), and trial 2 falls one row behind the others two
+# steps before the end, so a step grows trials 0, 1, 3 and 4 together
+# and trial 2 on its own.
+SPLIT_A = [(1, 2), (1, 3), (1, 10), (1, 11), (5, 3), (6, 1), (6, 2), (7, 10),
+           (7, 11), (8, 3), (8, 4), (10, 1), (10, 3), (11, 3), (11, 4),
+           (11, 8), (11, 9), (12, 4), (12, 11)]
+SPLIT_H = [(1, 9), (2, 7), (3, 1)]
+# n = 12, p = 3: ranks (10, 11, 11, 11, 11) at tol 1e-3, trial 0 a step
+# behind the contiguous group of trials 1-4 for six steps.
+LAGGING_A = [(2, 2), (2, 4), (2, 9), (3, 4), (3, 8), (3, 11), (4, 6), (5, 4),
+             (5, 10), (6, 3), (6, 5), (6, 9), (7, 1), (7, 7), (7, 9), (8, 12),
+             (10, 5), (10, 12), (11, 1), (11, 9), (12, 7)]
+LAGGING_H = [(1, 7), (2, 10), (3, 11)]
+
+
+def lockstep_bases(sys, seed, trials, tol):
+    a, h = _realize_stack(sys, seed, range(trials))
+    basis, counts = _observable_bases(a, h, tol)
+    return [basis[t, :counts[t]] for t in range(trials)]
+
+
+def reference_bases(sys, seed, trials, tol):
+    return [
+        observable_basis_reference(
+            NumericRealization(*realize_reference(sys, seed, t), seed, t), tol)
+        for t in range(trials)
+    ]
+
+
+def assert_bitwise_reference(sys, seed, trials, tol):
+    for got, want in zip(lockstep_bases(sys, seed, trials, tol),
+                         reference_bases(sys, seed, trials, tol), strict=True):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+class TestLockstepBases:
+    @given(systems(p_max=3), st.lists(st.integers(1, 8), max_size=3),
+           st.integers(0, 3), st.integers(1, 7), st.sampled_from([1e-8, 1e-6]),
+           st.integers(0, 2**32 - 1))
+    def test_each_basis_is_bitwise_the_lone_one(self, sys, sensors, drop,
+                                                 trials, tol, seed):
+        sensors = [min(s, sys.n) for s in sensors]
+        derived = [sys, sys.with_sensor_rows(sensors)]
+        if 1 <= drop <= sys.p:
+            derived.append(sys.without_row(drop))
+        for system in derived:
+            assert_bitwise_reference(system, seed, trials, tol)
+
+    @pytest.mark.parametrize("a, h, ranks", [
+        (SPLIT_A, SPLIT_H, (8, 8, 7, 8, 8)),
+        (LAGGING_A, LAGGING_H, (10, 11, 11, 11, 11)),
+    ])
+    def test_diverging_trials_match_bitwise(self, a, h, ranks):
+        sys = S(12, 3, a, h)
+        report = rank_report(sys, trials=5, tol=1e-3)
+        assert len(set(report.gramian_ranks)) > 1
+        assert report.gramian_ranks == ranks
+        assert_bitwise_reference(sys, 42, 5, 1e-3)
+
+    def test_long_block_chain_matches_bitwise(self):
+        sys = block_chain(np.random.default_rng(17), 130, 6)
+        assert_bitwise_reference(sys, 42, 3, 1e-8)
+
+    @given(systems(), st.sampled_from([1e-300, 1e-17, 1e-8]))
+    def test_rank_never_exceeds_n(self, sys, tol):
+        report = rank_report(sys, trials=3, tol=tol)
+        assert all(r <= sys.n for r in report.gramian_ranks)
+        assert gramian_rank(realize(sys), tol) <= sys.n
+
+    def test_tiny_tol_keeps_the_rank_at_n(self):
+        sys = S(3, 3, [(1, 2), (1, 3), (2, 2), (2, 3)], [(1, 1), (2, 2), (3, 1)])
+        assert gramian_rank(realize(sys), 1e-17) == 3
+        assert pbh_check(realize(sys), 1e-17) == ()
+
+    def test_caller_realization_is_never_written(self, fix15):
+        for sys in (fix15.with_sensor_rows([4, 9]), S(2, 1, [(1, 1), (2, 2)], [(1, 1)])):
+            r = realize(sys)
+            a, h = r.a.tobytes(), r.h.tobytes()
+            gramian_rank(r)
+            pbh_check(r)
+            assert r.a.tobytes() == a and r.h.tobytes() == h
+
+    def test_trials_go_through_in_blocks(self, monkeypatch):
+        sys = S(12, 3, SPLIT_A, SPLIT_H)
+        sizes = []
+        stack = numeric._realize_stack
+
+        def counted(sys, seed, trials):
+            sizes.append(len(trials))
+            return stack(sys, seed, trials)
+
+        monkeypatch.setattr(numeric, "_realize_stack", counted)
+        report = rank_report(sys, trials=23, tol=1e-3)
+        assert max(sizes) == _TRIAL_BLOCK and sum(sizes) == 23
+        want = tuple(b.shape[0] for b in reference_bases(sys, 42, 23, 1e-3))
+        assert len(set(want)) > 1
+        assert report.gramian_ranks == want
+        assert report.pbh_observable == tuple(r == 12 for r in want)
+
+    def test_one_svd_per_step_for_all_trials(self, monkeypatch):
+        # an 8-cycle seen at one state: every trial gains one row a step
+        sys = S(8, 1, [(i + 1, i) for i in range(1, 8)] + [(1, 8)], [(1, 1)])
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = rank_report(sys, trials=5)
+        assert report.gramian_ranks == (8,) * 5
+        assert len(calls) <= 1 + sys.n
 
 
 class TestModalVote:
@@ -315,10 +450,10 @@ class TestStructuralNumericBridge:
     def test_iterated_rank_matches_plain_stack_svd(self, sys):
         # on small systems the power stack is well conditioned, so the
         # incremental row-space rank must equal a plain SVD of the stack
-        from obspart.numeric import _normalized_a, _svd_rank
+        from obspart.numeric import _svd_rank
 
         r = realize(sys)
-        stacked = _svd_rank(obs_stack(_normalized_a(r.a), r.h), 1e-8)
+        stacked = _svd_rank(obs_stack(normalized_a(r.a), r.h), 1e-8)
         assert gramian_rank(r) == stacked
 
     @given(systems(n_max=7, allow_h=False))
