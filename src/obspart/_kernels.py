@@ -45,6 +45,27 @@ def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
     this graph to augment from instead of the empty one: any matching
     will do (Hopcroft & Karp 1973), and one close to maximum leaves few
     phases.  It is copied, never written.
+
+    From the empty matching the first phase is a greedy pass, each begin
+    in ascending order taking its lowest free end: that phase's BFS would
+    put every begin at distance 0 and find length 1, so its DFS could do
+    nothing else.  From a ``start`` the first phase is a full one.
+
+    In each BFS every begin reached keeps the free root that reached it
+    first.  A root is live when its region scans a free end, when the BFS
+    stops at the shortest length before scanning all of the region, or
+    when the region reaches a begin of another root's (both are then
+    live).  A root that is not live has a closed region, and once a phase
+    has found an augmenting length such roots leave the search for good:
+
+    Lemma.  If every end next to a free root's alternating region R is
+    matched into R, no augmenting path ever enters R, so the root stays free.
+
+    Nothing a dropped root reaches lies on an augmenting path, so the
+    distance labels outside its region, the shortest length and the paths
+    the DFS takes are those of the search from every free begin, and the
+    matching is the same bit for bit.  States that no maximum matching
+    covers are searched from once, not once per phase.
     """
     indptr = indptr.tolist()
     indices = indices.tolist()
@@ -52,6 +73,12 @@ def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
     match_end = [-1] * n_end
     if start is None:
         match_begin = [-1] * n_begin
+        for u in range(n_begin):
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                if match_end[v] == -1:
+                    match_begin[u] = v
+                    match_end[v] = u
+                    break
     else:
         match_begin = start.tolist()
         for u, e in enumerate(match_begin):
@@ -63,27 +90,42 @@ def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
     free = [u for u in range(n_begin) if match_begin[u] == -1]
 
     while True:
-        # BFS phase: layer begin nodes by alternating distance from the
-        # free ones; shortest augmenting length ends the scan.
+        # BFS phase, one layer of begins at a time: the first layer to
+        # scan a free end gives the shortest augmenting length.  ``owner``
+        # is the root whose region a begin joined, ``live`` the roots
+        # that may still augment.
         dist = [inf] * n_begin
+        owner = [-1] * n_begin
+        live = [False] * n_begin
         for u in free:
             dist[u] = 0
-        queue = free[:]
-        shortest = inf
-        for u in queue:  # the loop also visits the begins appended below
-            d = dist[u] + 1
-            if d > shortest:
-                continue
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                w = match_end[v]
-                if w == -1:
-                    if shortest == inf:
+            owner[u] = u
+        layer = free
+        d = shortest = 0
+        while layer and not shortest:
+            d += 1
+            reached = []
+            for u in layer:
+                root = owner[u]
+                for v in indices[indptr[u]:indptr[u + 1]]:
+                    w = match_end[v]
+                    if w == -1:
                         shortest = d
-                elif dist[w] == inf:
-                    dist[w] = d
-                    queue.append(w)
-        if shortest == inf:
+                        live[root] = True
+                        continue
+                    other = owner[w]
+                    if other == -1:
+                        owner[w] = root
+                        dist[w] = d
+                        reached.append(w)
+                    elif other != root:
+                        live[root] = live[other] = True
+            layer = reached
+        if not shortest:
             break
+        for u in layer:  # reached at the shortest length, never scanned
+            live[owner[u]] = True
+        free = [u for u in free if live[u]]
 
         # DFS phase: augment along length-`shortest` paths only.  ``path``
         # holds the begins from the free root down, ``ends[i]`` the end

@@ -365,3 +365,100 @@ def observable_basis_reference(r, tol):
         frontier = vt[sv > tol]
         basis = np.vstack([basis, frontier])
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Hopcroft-Karp with a BFS from every free begin in every phase
+
+def hopcroft_karp_reference(indptr, indices, n_begin, n_end, start=None):
+    """The matching kernel as it was before it pruned hopeless roots.
+
+    Kept verbatim as the bitwise reference for ``_kernels.hopcroft_karp``:
+    maximum bipartite matching; returns (match_begin, match_end).
+
+    ``indices`` lists end-node ids adjacent to each begin node.  Unmatched
+    nodes carry -1; both arrays are int64.  Begin nodes are scanned in
+    ascending order and adjacency rows are pre-sorted, so the matching is
+    deterministic.
+
+    ``start``, when given, is the ``match_begin`` array of a matching on
+    this graph to augment from instead of the empty one: any matching
+    will do (Hopcroft & Karp 1973), and one close to maximum leaves few
+    phases.  It is copied, never written.
+    """
+    indptr = indptr.tolist()
+    indices = indices.tolist()
+    inf = n_begin + n_end + 1
+    match_end = [-1] * n_end
+    if start is None:
+        match_begin = [-1] * n_begin
+    else:
+        match_begin = start.tolist()
+        for u, e in enumerate(match_begin):
+            if e != -1:
+                match_end[e] = u
+    # Begins only ever gain a match, and within a phase only as the root
+    # of their own search, so the free ones form a shrinking list that
+    # keeps the ascending scan order.
+    free = [u for u in range(n_begin) if match_begin[u] == -1]
+
+    while True:
+        # BFS phase: layer begin nodes by alternating distance from the
+        # free ones; shortest augmenting length ends the scan.
+        dist = [inf] * n_begin
+        for u in free:
+            dist[u] = 0
+        queue = free[:]
+        shortest = inf
+        for u in queue:  # the loop also visits the begins appended below
+            d = dist[u] + 1
+            if d > shortest:
+                continue
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                w = match_end[v]
+                if w == -1:
+                    if shortest == inf:
+                        shortest = d
+                elif dist[w] == inf:
+                    dist[w] = d
+                    queue.append(w)
+        if shortest == inf:
+            break
+
+        # DFS phase: augment along length-`shortest` paths only.  ``path``
+        # holds the begins from the free root down, ``ends[i]`` the end
+        # that leads from path[i] on, ``pos[i]`` the next slot of path[i].
+        for s in free:
+            path = [s]
+            pos = [indptr[s]]
+            ends = []
+            while path:
+                u = path[-1]
+                d = dist[u] + 1
+                for k in range(pos[-1], indptr[u + 1]):
+                    v = indices[k]
+                    w = match_end[v]
+                    if w == -1:
+                        if d == shortest:
+                            break
+                    elif dist[w] == d:
+                        break
+                else:
+                    # dead end: no shortest path runs through u this phase
+                    dist[u] = inf
+                    path.pop()
+                    pos.pop()
+                    if ends:
+                        ends.pop()
+                    continue
+                pos[-1] = k + 1
+                ends.append(v)
+                if w == -1:
+                    for b, e in zip(path, ends):
+                        match_begin[b] = e
+                        match_end[e] = b
+                    break
+                path.append(w)
+                pos.append(indptr[w])
+        free = [u for u in free if match_begin[u] == -1]
+    return np.array(match_begin, np.int64), np.array(match_end, np.int64)

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from obspart import StructuredSystem
 from obspart import _kernels as K
-from oracles import bfs_reach, brute_sccs
+from oracles import bfs_reach, brute_sccs, hopcroft_karp_reference
 from strategies import systems
 
 
@@ -186,33 +186,46 @@ def assert_matching(indptr, indices, match_begin, match_end):
             assert match_begin[b] == e
 
 
+def warm_start_graphs(sys, sensors):
+    """The warm starts ``s_rank`` and ``decompose`` make on a system.
+
+    Returns the bare matching and a list of (indptr, indices, n_begin,
+    n_end, start): the system's graph and the bare pattern plus
+    single-state sensors on ``sensors``, both from the bare matching; the
+    arcs inside strongly connected components, from the bare matching's
+    pairs inside them; and the bare graph from its own matching.  The
+    starts are read-only, so that a kernel writing to its start raises.
+    """
+    bare = sys.without_measurements().graph
+    start, start_end = K.hopcroft_karp(bare.indptr, bare.indices, bare.n, bare.n)
+    start.flags.writeable = start_end.flags.writeable = False
+
+    src, dst = bare.arcs()
+    comp, _ = K.tarjan_scc(bare.indptr, bare.indices, bare.n)
+    inside = comp[src] == comp[dst]
+    intra_start = np.where(
+        (start >= 0) & (comp == comp[np.maximum(start, 0)]), start, -1)
+    intra_start.flags.writeable = False
+    plus_sensors = sys.without_measurements().with_sensor_rows(
+        [s for s in sensors if s <= sys.n]).graph
+    graphs = [
+        (sys.graph.indptr, sys.graph.indices, sys.n, sys.n + sys.p, start),
+        (plus_sensors.indptr, plus_sensors.indices, sys.n, plus_sensors.n_end,
+         start),
+        (*K.csr_from_edges(sys.n, np.column_stack([src[inside], dst[inside]])),
+         sys.n, sys.n, intra_start),
+        (bare.indptr, bare.indices, bare.n, bare.n, start),
+    ]
+    return (start, start_end), graphs
+
+
 class TestWarmStart:
     """Augmenting from the bare matching, as ``s_rank`` and ``decompose`` do."""
 
     @given(systems(), st.lists(st.integers(1, 8), max_size=3))
     def test_same_size_as_cold_start(self, sys, sensors):
-        bare = sys.without_measurements().graph
-        start, start_end = K.hopcroft_karp(bare.indptr, bare.indices, bare.n, bare.n)
-        # Read-only, so that a kernel writing to its start raises.
-        start.flags.writeable = start_end.flags.writeable = False
+        (start, start_end), graphs = warm_start_graphs(sys, sensors)
         before = start.copy()
-
-        src, dst = bare.arcs()
-        comp, _ = K.tarjan_scc(bare.indptr, bare.indices, bare.n)
-        inside = comp[src] == comp[dst]
-        intra_start = np.where(
-            (start >= 0) & (comp == comp[np.maximum(start, 0)]), start, -1)
-        intra_start.flags.writeable = False
-        plus_sensors = sys.without_measurements().with_sensor_rows(
-            [s for s in sensors if s <= sys.n]).graph
-        graphs = [
-            (sys.graph.indptr, sys.graph.indices, sys.n, sys.n + sys.p, start),
-            (plus_sensors.indptr, plus_sensors.indices, sys.n, plus_sensors.n_end,
-             start),
-            (*K.csr_from_edges(sys.n, np.column_stack([src[inside], dst[inside]])),
-             sys.n, sys.n, intra_start),
-            (bare.indptr, bare.indices, bare.n, bare.n, start),
-        ]
         for indptr, indices, nb, ne, first in graphs:
             cold, _ = K.hopcroft_karp(indptr, indices, nb, ne)
             warm, warm_end = K.hopcroft_karp(indptr, indices, nb, ne, start=first)
@@ -242,6 +255,100 @@ class TestWarmStart:
         assert match_begin.tolist() == [1, 0, 2]
         assert match_end.tolist() == [1, 0, 2]
         assert start.tolist() == [0, -1, -1]
+
+
+def some_matching(n_begin, edges, order):
+    """A matching taken greedily from ``edges`` visited in ``order``."""
+    match_begin = np.full(n_begin, -1, np.int64)
+    used = set()
+    for i in order:
+        b, e = edges[i]
+        if match_begin[b] < 0 and e not in used:
+            match_begin[b] = e
+            used.add(e)
+    return match_begin
+
+
+def same_as_reference(indptr, indices, nb, ne, start=None):
+    """The kernel's matching, asserted bitwise equal to the reference's."""
+    mine = K.hopcroft_karp(indptr, indices, nb, ne, start=start)
+    ref = hopcroft_karp_reference(indptr, indices, nb, ne, start=start)
+    assert np.array_equal(mine[0], ref[0]) and np.array_equal(mine[1], ref[1])
+    return mine
+
+
+class TestDroppedRoots:
+    """Roots whose alternating region is closed are dropped for good, and
+    the matchings stay those of the search from every free begin."""
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_random_graphs_with_surplus_begins(self, data):
+        ne = data.draw(st.integers(1, 10))
+        nb = ne + data.draw(st.integers(0, 6))
+        edges = sorted(data.draw(st.lists(
+            st.tuples(st.integers(0, nb - 1), st.integers(0, ne - 1)),
+            max_size=3 * nb, unique=True)))
+        indptr, indices = K.csr_from_edges(nb, edges)
+        same_as_reference(indptr, indices, nb, ne)
+        order = data.draw(st.permutations(range(len(edges))))
+        n_start = data.draw(st.integers(0, len(edges)))
+        same_as_reference(indptr, indices, nb, ne,
+                          start=some_matching(nb, edges, order[:n_start]))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
+    @settings(max_examples=60)
+    def test_block_chains(self, seed, n_blocks):
+        rng = np.random.default_rng(seed)
+        n, arcs = block_chain(rng, n_blocks)
+        indptr, indices = K.csr_from_edges(n, arcs)
+        same_as_reference(indptr, indices, n, n)
+        order = rng.permutation(len(arcs))[:int(rng.integers(len(arcs) + 1))]
+        same_as_reference(indptr, indices, n, n,
+                          start=some_matching(n, arcs, order))
+
+    @given(systems(), st.lists(st.integers(1, 8), max_size=3))
+    def test_warm_starts_of_systems(self, sys, sensors):
+        _, graphs = warm_start_graphs(sys, sensors)
+        for indptr, indices, nb, ne, first in graphs:
+            same_as_reference(indptr, indices, nb, ne)
+            same_as_reference(indptr, indices, nb, ne, start=first)
+
+    def test_size_matches_scipy_with_many_phases(self):
+        # 2000 begins on 1800 ends with two edges each: after the greedy
+        # pass, nine phases augment and drop 306 roots between them.
+        nb, ne = 2000, 1800
+        edges = random_bipartite(np.random.default_rng(0), nb, ne, 2 * nb)
+        match_begin, match_end = same_as_reference(
+            *K.csr_from_edges(nb, edges), nb, ne)
+        rows, cols = np.array(edges).T
+        graph = csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(nb, ne))
+        ref = maximum_bipartite_matching(graph, perm_type="column")
+        assert int((match_begin >= 0).sum()) == int((ref >= 0).sum())
+        assert int((match_end >= 0).sum()) == int((ref >= 0).sum())
+
+    def test_root_cut_short_at_the_shortest_length_augments_later(self):
+        # Begin 0 reaches begin 1 through end 0, and begin 1 holds a free
+        # end, but begin 2 has a free end of its own: the first phase stops
+        # at length 1 before scanning begin 1, so root 0 must stay.
+        indptr, indices = K.csr_from_edges(3, [(0, 0), (1, 0), (1, 1), (2, 2)])
+        start = np.array([-1, 0, -1], np.int64)
+        match_begin, match_end = same_as_reference(indptr, indices, 3, 3,
+                                                   start=start)
+        assert match_begin.tolist() == [0, 1, 2]
+        assert match_end.tolist() == [0, 1, 2]
+
+    def test_root_that_meets_an_augmenting_region_stays(self):
+        # Root 1's only end leads to begin 2, which root 0 reached first;
+        # root 0 augments through begin 2, and root 1 then augments through
+        # begins 0 and 3.  Alone, root 1's region looks closed.
+        edges = [(0, 0), (0, 3), (1, 0), (2, 0), (2, 1), (3, 2), (3, 3)]
+        indptr, indices = K.csr_from_edges(4, edges)
+        start = np.array([-1, -1, 0, 3], np.int64)
+        match_begin, match_end = same_as_reference(indptr, indices, 4, 4,
+                                                   start=start)
+        assert match_begin.tolist() == [3, 0, 1, 2]
+        assert match_end.tolist() == [1, 2, 3, 0]
 
 
 def random_arcs(data, n):

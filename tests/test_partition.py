@@ -206,6 +206,20 @@ class TestClassify:
         sys = S(3, 1, [(2, 1), (3, 2)], [(1, 1), (1, 3)])
         assert classify_measurements(sys) == ("alpha",)
 
+    @pytest.mark.xfail(strict=True, reason="the greedy labels can call a "
+                       "necessary multi-state row gamma; ROADMAP item 3")
+    def test_no_necessary_row_is_gamma(self):
+        # Rank classes {2} and {3}, access class {4}: row 2 takes {2},
+        # which leaves {3} no untaken row and row 3 reading gamma, yet
+        # without row 3 states 2 and 3 share one row and the system is
+        # not observable.
+        sys = S(4, 3, [(1, 1), (2, 1), (3, 1), (4, 4)],
+                [(1, 4), (2, 2), (2, 3), (3, 2)])
+        labels = classify_measurements(sys)
+        for row, label in enumerate(labels, start=1):
+            if is_necessary(sys, row):
+                assert label != "gamma"
+
     def test_row_without_states_is_malformed(self):
         sys = S(3, 2, [(2, 1), (3, 2)], [(1, 3)])  # row 2 empty
         with pytest.raises(MalformedInputError, match="row 2 measures no state"):
