@@ -186,37 +186,12 @@ def assert_matching(indptr, indices, match_begin, match_end):
             assert match_begin[b] == e
 
 
-def warm_start_graphs(sys, sensors):
-    """The warm starts ``s_rank`` and ``decompose`` make on a system.
-
-    Returns the bare matching and a list of (indptr, indices, n_begin,
-    n_end, start): the system's graph and the bare pattern plus
-    single-state sensors on ``sensors``, both from the bare matching; the
-    arcs inside strongly connected components, from the bare matching's
-    pairs inside them; and the bare graph from its own matching.  The
-    starts are read-only, so that a kernel writing to its start raises.
-    """
-    bare = sys.without_measurements().graph
-    start, start_end = K.hopcroft_karp(bare.indptr, bare.indices, bare.n, bare.n)
-    start.flags.writeable = start_end.flags.writeable = False
-
-    src, dst = bare.arcs()
-    comp, _ = K.tarjan_scc(bare.indptr, bare.indices, bare.n)
-    inside = comp[src] == comp[dst]
-    intra_start = np.where(
-        (start >= 0) & (comp == comp[np.maximum(start, 0)]), start, -1)
-    intra_start.flags.writeable = False
-    plus_sensors = sys.without_measurements().with_sensor_rows(
-        [s for s in sensors if s <= sys.n]).graph
-    graphs = [
-        (sys.graph.indptr, sys.graph.indices, sys.n, sys.n + sys.p, start),
-        (plus_sensors.indptr, plus_sensors.indices, sys.n, plus_sensors.n_end,
-         start),
-        (*K.csr_from_edges(sys.n, np.column_stack([src[inside], dst[inside]])),
-         sys.n, sys.n, intra_start),
-        (bare.indptr, bare.indices, bare.n, bare.n, start),
-    ]
-    return (start, start_end), graphs
+def same_as_reference(indptr, indices, nb, ne, start=None):
+    """The kernel's matching, asserted bitwise equal to the reference's."""
+    mine = K.hopcroft_karp(indptr, indices, nb, ne, start=start)
+    ref = hopcroft_karp_reference(indptr, indices, nb, ne, start=start)
+    assert np.array_equal(mine[0], ref[0]) and np.array_equal(mine[1], ref[1])
+    return mine
 
 
 class TestWarmStart:
@@ -224,11 +199,31 @@ class TestWarmStart:
 
     @given(systems(), st.lists(st.integers(1, 8), max_size=3))
     def test_same_size_as_cold_start(self, sys, sensors):
-        (start, start_end), graphs = warm_start_graphs(sys, sensors)
+        bare = sys.without_measurements().graph
+        start, start_end = K.hopcroft_karp(bare.indptr, bare.indices, bare.n, bare.n)
+        # Read-only, so that a kernel writing to its start raises.
+        start.flags.writeable = start_end.flags.writeable = False
         before = start.copy()
+
+        src, dst = bare.arcs()
+        comp, _ = K.tarjan_scc(bare.indptr, bare.indices, bare.n)
+        inside = comp[src] == comp[dst]
+        intra_start = np.where(
+            (start >= 0) & (comp == comp[np.maximum(start, 0)]), start, -1)
+        intra_start.flags.writeable = False
+        plus_sensors = sys.without_measurements().with_sensor_rows(
+            [s for s in sensors if s <= sys.n]).graph
+        graphs = [
+            (sys.graph.indptr, sys.graph.indices, sys.n, sys.n + sys.p, start),
+            (plus_sensors.indptr, plus_sensors.indices, sys.n, plus_sensors.n_end,
+             start),
+            (*K.csr_from_edges(sys.n, np.column_stack([src[inside], dst[inside]])),
+             sys.n, sys.n, intra_start),
+            (bare.indptr, bare.indices, bare.n, bare.n, start),
+        ]
         for indptr, indices, nb, ne, first in graphs:
-            cold, _ = K.hopcroft_karp(indptr, indices, nb, ne)
-            warm, warm_end = K.hopcroft_karp(indptr, indices, nb, ne, start=first)
+            cold, _ = same_as_reference(indptr, indices, nb, ne)
+            warm, warm_end = same_as_reference(indptr, indices, nb, ne, start=first)
             assert warm.dtype == warm_end.dtype == np.int64
             assert_matching(indptr, indices, warm, warm_end)
             assert int((warm >= 0).sum()) == int((cold >= 0).sum())
@@ -269,14 +264,6 @@ def some_matching(n_begin, edges, order):
     return match_begin
 
 
-def same_as_reference(indptr, indices, nb, ne, start=None):
-    """The kernel's matching, asserted bitwise equal to the reference's."""
-    mine = K.hopcroft_karp(indptr, indices, nb, ne, start=start)
-    ref = hopcroft_karp_reference(indptr, indices, nb, ne, start=start)
-    assert np.array_equal(mine[0], ref[0]) and np.array_equal(mine[1], ref[1])
-    return mine
-
-
 class TestDroppedRoots:
     """Roots whose alternating region is closed are dropped for good, and
     the matchings stay those of the search from every free begin."""
@@ -306,13 +293,6 @@ class TestDroppedRoots:
         order = rng.permutation(len(arcs))[:int(rng.integers(len(arcs) + 1))]
         same_as_reference(indptr, indices, n, n,
                           start=some_matching(n, arcs, order))
-
-    @given(systems(), st.lists(st.integers(1, 8), max_size=3))
-    def test_warm_starts_of_systems(self, sys, sensors):
-        _, graphs = warm_start_graphs(sys, sensors)
-        for indptr, indices, nb, ne, first in graphs:
-            same_as_reference(indptr, indices, nb, ne)
-            same_as_reference(indptr, indices, nb, ne, start=first)
 
     def test_size_matches_scipy_with_many_phases(self):
         # 2000 begins on 1800 ends with two edges each: after the greedy
