@@ -4,22 +4,28 @@ Structural claims ("this pattern is generically observable", "these two
 sensor sites are interchangeable") hold for almost every choice of matrix
 values.  This module draws concrete realizations — log-uniform magnitudes
 in [0.5, 2] with random signs, deterministic per (seed, trial) — and
-checks the claims with plain linear algebra.  One orthonormal basis of the
-observable row space, the span of [H; HA; ...; HA^(n-1)], is grown per
-realization: only the directions added at the previous step are
-multiplied by A, so each step costs one small SVD, and the trials of one
-call grow in lockstep, sharing that SVD.  Its row count is the
-observability rank, and the restriction of A to its orthogonal
-complement carries exactly the unobservable modes, the eigenvalues at
-which the eigenvector test on [A - lambda*I; H] fails (compare Paige's
-staircase form, IEEE TAC 1981).  Ranks use SVD thresholds relative to
-the norm of A, and verdicts are taken as the mode over several trials so
-a single unlucky draw near a degenerate surface cannot flip a result.
+checks the claims with plain linear algebra.  Each (seed, trial) pair's
+generator state is seeded once and kept, so a repeated pair restores it
+in place of hashing the seed again, and draws the same values.  One
+orthonormal basis of the observable row space, the span of
+[H; HA; ...; HA^(n-1)], is grown per realization: only the directions
+added at the previous step are multiplied by A, so each step costs one
+small SVD, and the trials of one call grow in lockstep, sharing that
+SVD.  Its row count is the observability rank, and the restriction of A
+to its orthogonal complement carries exactly the unobservable modes, the
+eigenvalues at which the eigenvector test on [A - lambda*I; H] fails
+(compare Paige's staircase form, IEEE TAC 1981); at rank 0 that is every
+eigenvalue of A, listed without a second eigensolve.  Ranks use SVD
+thresholds relative to the norm of A, and verdicts are taken as the mode
+over several trials so a single unlucky draw near a degenerate surface
+cannot flip a result.
 """
 
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +44,8 @@ _TRIAL_BLOCK = 8
 
 _LOG_LO = math.log(0.5)
 _LOG_HI = math.log(2.0)
+
+_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -78,24 +86,53 @@ def realize(sys, seed=DEFAULT_SEED, trial=0):
 def _realize_stack(sys, seed, trials):
     """(A, H) stacks of shape (T, n, n) and (T, p, n), one per trial.
 
-    Each trial draws from ``default_rng([seed, trial])`` exactly as a lone
-    ``realize`` would, and both scatters run once for the whole stack
-    through the kept flat offsets.
+    Each trial draws from ``default_rng([seed, trial])``'s initial state
+    exactly as a lone ``realize`` would: its uniforms, then its 0/1
+    integers.  The magnitudes and signs are formed once for the whole
+    stack, and both scatters run once through the kept flat offsets.
     """
     a_offsets, h_offsets = sys.memo(_flat_offsets)
     count = len(a_offsets) + len(h_offsets)
-    values = np.empty((len(trials), count))
-    for row, trial in zip(values, trials):
-        rng = np.random.default_rng([seed, trial])
-        magnitudes = np.exp(rng.uniform(_LOG_LO, _LOG_HI, size=count))
-        signs = rng.integers(0, 2, size=count) * 2 - 1
-        row[:] = magnitudes * signs
+    logs = np.empty((len(trials), count))
+    bits = np.empty((len(trials), count), dtype=np.int64)
+    rng = _generator()
+    for row, trial in enumerate(trials):
+        rng.bit_generator.state = _initial_state(seed, trial)
+        logs[row] = rng.uniform(_LOG_LO, _LOG_HI, size=count)
+        bits[row] = rng.integers(0, 2, size=count)
+    values = np.exp(logs) * (bits * 2 - 1)
     a = np.zeros((len(trials), sys.n * sys.n))
     h = np.zeros((len(trials), sys.p * sys.n))
     a[:, a_offsets] = values[:, :len(a_offsets)]
     h[:, h_offsets] = values[:, len(a_offsets):]
     return (a.reshape(len(trials), sys.n, sys.n),
             h.reshape(len(trials), sys.p, sys.n))
+
+
+# About 0.7 kB a state.  Seeding one hashes a SeedSequence, which takes
+# about ten times as long as restoring a kept state.
+@lru_cache(maxsize=1024)
+def _initial_state(seed, trial):
+    """The state of ``default_rng([seed, trial])`` before its first draw.
+
+    The dict also holds ``has_uint32`` and ``uinteger``, so a generator
+    it is restored into draws bit for bit what a fresh one would.  Every
+    caller gets the same dict, which it only ever reads.
+    """
+    return np.random.PCG64([seed, trial]).state
+
+
+def _generator():
+    """This thread's generator, built once; callers restore a kept state
+    into it before every draw, so its own seed never shows.
+
+    One per thread, because a generator shared by two threads would
+    interleave their draws between a restore and the next draw.
+    """
+    rng = getattr(_thread, "rng", None)
+    if rng is None:
+        rng = _thread.rng = np.random.Generator(np.random.PCG64(0))
+    return rng
 
 
 def _flat_offsets(sys):
@@ -167,8 +204,9 @@ def _observable_bases(a, h, tol):
         counts[live] = frontier[live] = kept
     while True:
         groups = {}
-        for t in np.flatnonzero((frontier > 0) & (counts < n)).tolist():
-            groups.setdefault((counts[t], frontier[t]), []).append(t)
+        for t, (r, f) in enumerate(zip(counts.tolist(), frontier.tolist())):
+            if f > 0 and r < n:
+                groups.setdefault((r, f), []).append(t)
         if not groups:
             return basis, counts
         for (r, f), members in groups.items():
@@ -276,6 +314,10 @@ def _unobservable_modes(r, basis, tol):
     eigenvalues = np.asarray(
         sorted(_eigvals(a, a), key=lambda z: (z.real, z.imag)), dtype=complex
     )
+    if rank == 0:
+        # The complete QR of an empty basis is exactly the identity, so
+        # the block would be A bit for bit and every eigenvalue would fail.
+        return tuple(complex(lam) for lam in eigenvalues)
     q, _ = np.linalg.qr(basis.T, mode="complete")
     w = q[:, rank:]
     block = w.T @ a @ w

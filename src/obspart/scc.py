@@ -50,9 +50,14 @@ def decompose(dg):
     """SCC decomposition of the state part of a system graph."""
     n = dg.n
     src, dst = dg.arcs()
-    states = dst < n
-    src, dst = src[states], dst[states]
-    comp_raw, n_comp = tarjan_scc(*csr_from_edges(n, np.column_stack([src, dst])), n)
+    if dg.p:
+        states = dst < n
+        src, dst = src[states], dst[states]
+        csr = csr_from_edges(n, np.column_stack([src, dst]))
+    else:
+        # Every pair of a bare graph ends at a state: its CSR is the state CSR.
+        csr = dg.indptr, dg.indices
+    comp_raw, n_comp = tarjan_scc(*csr, n)
 
     # States are scanned in ascending order, so a component first shows up
     # at its lowest member: insertion order is the sorted order.

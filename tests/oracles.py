@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from obspart.errors import MalformedInputError
+from obspart.errors import MalformedInputError, NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +365,66 @@ def observable_basis_reference(r, tol):
         frontier = vt[sv > tol]
         basis = np.vstack([basis, frontier])
     return basis
+
+
+# ---------------------------------------------------------------------------
+# the PBH test on the block outside the observable basis, at every rank
+
+def _eigvals(matrix, a):
+    try:
+        return np.linalg.eigvals(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"eigensolver failed: {exc}\nA = {np.array2string(a)}"
+        ) from exc
+
+
+def unobservable_modes_reference(r, basis, tol):
+    """The PBH test as it was before rank 0 skipped the block eigensolve.
+
+    Kept verbatim as the bitwise reference for ``pbh_check`` and
+    ``rank_report``: eigenvalues of A, as ``np.linalg.eigvals`` lists
+    them, at which PBH fails, given an orthonormal basis of the
+    observable row space.
+
+    The orthogonal complement W of the basis is A-invariant and H vanishes
+    on it, so in the basis [basis; W^T] the pencil [A - lambda*I; H] has
+    the column block [0; B - lambda*I; 0], with B = W^T A W of size
+    (n-r) x (n-r).  An eigenvalue of A fails when the smallest singular
+    value of B - lambda*I is at most ``tol`` times the largest of [A; H]:
+    the threshold scales with the system, not with the block, whose norm
+    can be arbitrarily small.
+
+    That singular value is at most the distance from lambda to the
+    nearest eigenvalue of B, so eigenvalues within the threshold of one
+    fail without an SVD.  Those farther than sqrt(tol) times the norm are
+    taken to pass, also without one: a defective pair of modes splits by
+    about that much under perturbations at the threshold.  Only the few
+    in between cost an SVD of B - lambda*I, which keeps the whole test
+    O(n^3).  Each eigenvalue of B also claims its nearest eigenvalue of
+    A, so the list is nonempty exactly when r < n, even where the
+    eigensolver splits a defective cluster further than the test reaches.
+    """
+    a = r.a
+    n, rank = a.shape[0], basis.shape[0]
+    if rank == n:
+        return ()
+    eigenvalues = np.asarray(
+        sorted(_eigvals(a, a), key=lambda z: (z.real, z.imag)), dtype=complex
+    )
+    q, _ = np.linalg.qr(basis.T, mode="complete")
+    w = q[:, rank:]
+    block = w.T @ a @ w
+    scale = np.linalg.norm(np.vstack([a, r.h]), 2)
+    gap = np.abs(eigenvalues[:, None] - _eigvals(block, a)[None, :])
+    nearest = gap.min(axis=1)
+    deficient = nearest <= tol * scale
+    eye = np.eye(n - rank)
+    for i in np.flatnonzero(~deficient & (nearest <= math.sqrt(tol) * scale)):
+        sv = np.linalg.svd(block - eigenvalues[i] * eye, compute_uv=False)
+        deficient[i] = sv[-1] <= tol * scale
+    deficient[gap.argmin(axis=0)] = True
+    return tuple(complex(lam) for lam in eigenvalues[deficient])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import re
+import threading
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from oracles import (
     obs_stack,
     observable_basis_reference,
     realize_reference,
+    unobservable_modes_reference,
 )
 from strategies import systems
 
@@ -284,6 +287,126 @@ class TestLockstepBases:
         assert len(calls) <= 1 + sys.n
 
 
+def assert_realized_as_reference(sys, seed, trial):
+    r = realize(sys, seed, trial)
+    a, h = realize_reference(sys, seed, trial)
+    assert r.a.tobytes() == a.tobytes() and r.h.tobytes() == h.tobytes()
+
+
+def assert_same_modes(got, want):
+    assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
+
+
+def assert_report_as_reference(sys, seed, trials, tol):
+    report = rank_report(sys, seed, trials, tol)
+    bases = reference_bases(sys, seed, trials, tol)
+    first = NumericRealization(*realize_reference(sys, seed, 0), seed, 0)
+    assert report.gramian_ranks == tuple(b.shape[0] for b in bases)
+    assert_same_modes(report.pbh_rank_deficient_eigenvalues,
+                      unobservable_modes_reference(first, bases[0], tol))
+
+
+def assert_same_legacy_state(before):
+    after = np.random.get_state()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+
+
+class TestKeptStates:
+    def test_interleaved_and_repeated_orders(self):
+        sys = S(12, 3, SPLIT_A, SPLIT_H)
+        legacy = np.random.get_state()
+        # (seed, trial) for a lone realization, (seed, trials) for a report
+        realizations = [(7, 0), (7, 3), (8, 1), (7, 0), (8, 0), (7, 4), (8, 1)]
+        reports = [(7, 5), (8, 2), (7, 5), (8, 3), (7, 2), (8, 2), (7, 5)]
+        for lone, report in zip(realizations, reports):
+            assert_realized_as_reference(sys, *lone)
+            assert_report_as_reference(sys, *report, 1e-3)
+        assert_same_legacy_state(legacy)
+
+    def test_evicted_states_are_seeded_again(self, chain3):
+        cache = numeric._initial_state
+        size = cache.cache_info().maxsize
+        keys = [(seed, trial) for seed in range(size // 4 + 2) for trial in range(4)]
+        for key in keys:
+            realize(chain3, *key)
+        assert cache.cache_info().currsize == size
+        misses = cache.cache_info().misses
+        for key in keys[:8]:
+            assert_realized_as_reference(chain3, *key)
+        assert cache.cache_info().misses == misses + 8
+        for key in keys[:8] + keys[-8:]:
+            assert_realized_as_reference(chain3, *key)
+        assert cache.cache_info().misses == misses + 8
+
+    def test_threads_draw_their_own_seeds(self):
+        system = S(12, 3, SPLIT_A, SPLIT_H)
+        seeds = (11, 12, 13, 14)
+        want = {(seed, t): realize_reference(system, seed, t)
+                for seed in seeds for t in range(4)}
+        legacy = np.random.get_state()
+        wrong = []
+
+        def draw(seed):
+            for _ in range(100):
+                for t in range(4):
+                    r = realize(system, seed, t)
+                    a, h = want[seed, t]
+                    if r.a.tobytes() != a.tobytes() or r.h.tobytes() != h.tobytes():
+                        wrong.append((seed, t))
+
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert_same_legacy_state(legacy)
+
+
+class TestFixedCosts:
+    def test_rank_zero_skips_the_block_eigensolve(self, monkeypatch):
+        sys = S(4, 0, [(2, 1), (3, 2), (4, 3), (1, 4)])
+        calls = []
+        for name in ("qr", "eigvals"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = rank_report(sys)
+        assert report.gramian_ranks == (0,) * 5
+        assert len(report.pbh_rank_deficient_eigenvalues) == 4
+        assert calls == ["eigvals"]
+
+    def test_a_repeated_report_seeds_nothing(self, monkeypatch):
+        sys = S(12, 3, SPLIT_A, SPLIT_H)
+        numeric._initial_state.cache_clear()
+        seeded = []
+        for name in ("PCG64", "default_rng"):
+            real = getattr(np.random, name)
+
+            def counted(*args, real=real, **kwargs):
+                seeded.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counted)
+        first = rank_report(sys, seed=5)
+        # PCG64(0) builds this thread's generator, if no call has yet
+        assert [args for args in seeded if args != (0,)] == [([5, t],) for t in range(5)]
+        seeded.clear()
+        assert rank_report(sys, seed=5) == first
+        assert seeded == []
+
+
 class TestModalVote:
     def test_unanimous_chain(self, chain3):
         modal, agreement = modal_gramian_rank(chain3, trials=7)
@@ -345,6 +468,24 @@ class TestPbh:
         )
         deficient = pbh_check(r)
         assert [z.real for z in deficient] == [1.0, 2.0, 3.0]
+
+
+class TestPbhReference:
+    @given(systems(p_max=3), st.lists(st.integers(1, 8), max_size=3),
+           st.integers(0, 3), st.sampled_from([1e-8, 1e-6, 1.0, 2.0]),
+           st.integers(0, 2**32 - 1))
+    def test_bitwise_the_reference(self, sys, sensors, drop, tol, seed):
+        sensors = [min(s, sys.n) for s in sensors]
+        derived = [sys, sys.without_measurements(), sys.with_sensor_rows(sensors)]
+        if 1 <= drop <= sys.p:
+            derived.append(sys.without_row(drop))
+        for system in derived:
+            r = NumericRealization(*realize_reference(system, seed, 0), seed, 0)
+            want = unobservable_modes_reference(
+                r, observable_basis_reference(r, tol), tol)
+            assert_same_modes(pbh_check(r, tol), want)
+            report = rank_report(system, seed, trials=2, tol=tol)
+            assert_same_modes(report.pbh_rank_deficient_eigenvalues, want)
 
 
 class TestRankReport:

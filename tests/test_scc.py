@@ -9,8 +9,11 @@ from obspart import (
     build_digraph,
     decompose,
 )
+import obspart.scc as scc
+import obspart.structure as structure
+from obspart.partition import _access_classes
 from conftest import S
-from oracles import cycle_family_covers
+from oracles import brute_sccs, cycle_family_covers
 from strategies import systems
 
 
@@ -83,6 +86,36 @@ class TestDecompose:
         sources = {src for src, _ in dec.order}
         for idx in range(len(dec.components)):
             assert dec.parent_flags[idx] == (idx not in sources)
+
+    @given(systems(n_max=7))
+    def test_components_are_the_brute_sccs(self, sys):
+        bare = sys.without_measurements()
+        got = decompose(build_digraph(sys))
+        want = brute_sccs(sys.n, [(s - 1, t - 1) for (s, t) in state_arcs(sys)])
+        assert {frozenset(s - 1 for s in comp) for comp in got.components} == want
+        # Measurement arcs leave every component and flag alone, so the
+        # graph with rows and its bare graph decompose alike.
+        alone = decompose(build_digraph(bare))
+        assert got == alone and got.order == alone.order
+
+    def test_bare_graph_serves_as_its_own_state_csr(self, fix15, monkeypatch):
+        calls = []
+
+        def counted(module):
+            build = module.csr_from_edges
+
+            def csr(*args):
+                calls.append(module.__name__)
+                return build(*args)
+            return csr
+
+        for module in (scc, structure):
+            monkeypatch.setattr(module, "csr_from_edges", counted(module))
+        bare = S(fix15.n, 0, sorted(fix15.a_pattern))
+        classes = _access_classes(bare)
+        # one for the graph itself, one for the arcs inside components
+        assert calls == ["obspart.structure", "obspart.scc"]
+        assert classes == ((9,), (11, 12, 13, 14))
 
     @given(systems(n_max=6, allow_h=False))
     def test_matched_iff_cycle_family(self, sys):
