@@ -1,50 +1,27 @@
-"""Kernels for the hot graph loops: every interpreted loop over a CSR.
+"""Kernels for the hot graph loops: every interpreted loop over a graph.
 
-Graphs are passed in CSR form as numpy arrays: ``indptr`` of length
-``n+1`` and ``indices`` holding neighbor ids, sorted ascending within each
-row — the sort is what makes matching tie-breaks deterministic.  The
-arrays may be read-only; no kernel writes to them.
-
-The loops are interpreted Python, so each kernel copies the CSR into
-Python lists once with ``tolist()`` and loops over those: indexing a list
-yields a ready int, while indexing a numpy array boxes a new scalar on
-every access, which is several times slower.  Each kernel documents the
-types it returns.
+A graph is passed as ``rows``: a sequence with one row per node, each row
+a sequence of neighbor ids sorted ascending — the sort is what makes
+matching tie-breaks deterministic.  A SystemGraph's rows are tuples of
+plain ints, built once per graph, so the kernels loop over them as they
+are: no copy, and no numpy scalar boxed on each access.  No kernel writes
+to its arguments, and each one documents the types it returns.
 """
 
-import numpy as np
 
-
-def csr_from_edges(n_nodes, edges):
-    """Build (indptr, indices) from (src, dst) int pairs.
-
-    ``edges`` is an (m, 2) array or a sequence of pairs.  Neighbors are
-    sorted ascending per source node; duplicate edges are kept as given
-    (callers pass deduplicated edge lists).
-    """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    src, dst = edges[:, 0], edges[:, 1]
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n_nodes), out=indptr[1:])
-    # Sorting src * width + dst orders the pairs by (src, dst), and the
-    # sorted keys modulo width are the neighbors.  The keys stay below
-    # n_nodes * width, far inside int64 for any graph that fits in memory.
-    width = int(dst.max(initial=0)) + 1
-    return indptr, np.sort(src * width + dst) % width
-
-
-def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
+def hopcroft_karp(rows, n_end, start=None):
     """Maximum bipartite matching; returns (match_begin, match_end).
 
-    ``indices`` lists end-node ids adjacent to each begin node.  Unmatched
-    nodes carry -1; both arrays are int64.  Begin nodes are scanned in
-    ascending order and adjacency rows are pre-sorted, so the matching is
+    ``rows[u]`` lists the end-node ids adjacent to begin node u, of which
+    there are ``len(rows)``; ends are 0..n_end-1.  Both results are
+    tuples of ints, -1 at unmatched nodes.  Begin nodes are scanned in
+    ascending order and rows are pre-sorted, so the matching is
     deterministic.
 
-    ``start``, when given, is the ``match_begin`` array of a matching on
-    this graph to augment from instead of the empty one: any matching
-    will do (Hopcroft & Karp 1973), and one close to maximum leaves few
-    phases.  It is copied, never written.
+    ``start``, when given, is the ``match_begin`` of a matching on this
+    graph to augment from instead of the empty one: any matching will do
+    (Hopcroft & Karp 1973), and one close to maximum leaves few phases.
+    It is copied, never written.
 
     From the empty matching the first phase is a greedy pass, each begin
     in ascending order taking its lowest free end: that phase's BFS would
@@ -67,20 +44,19 @@ def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
     matching is the same bit for bit.  States that no maximum matching
     covers are searched from once, not once per phase.
     """
-    indptr = indptr.tolist()
-    indices = indices.tolist()
+    n_begin = len(rows)
     inf = n_begin + n_end + 1
     match_end = [-1] * n_end
     if start is None:
         match_begin = [-1] * n_begin
-        for u in range(n_begin):
-            for v in indices[indptr[u]:indptr[u + 1]]:
+        for u, row in enumerate(rows):
+            for v in row:
                 if match_end[v] == -1:
                     match_begin[u] = v
                     match_end[v] = u
                     break
     else:
-        match_begin = start.tolist()
+        match_begin = list(start)
         for u, e in enumerate(match_begin):
             if e != -1:
                 match_end[e] = u
@@ -107,7 +83,7 @@ def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
             reached = []
             for u in layer:
                 root = owner[u]
-                for v in indices[indptr[u]:indptr[u + 1]]:
+                for v in rows[u]:
                     w = match_end[v]
                     if w == -1:
                         shortest = d
@@ -129,16 +105,16 @@ def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
 
         # DFS phase: augment along length-`shortest` paths only.  ``path``
         # holds the begins from the free root down, ``ends[i]`` the end
-        # that leads from path[i] on, ``pos[i]`` the next slot of path[i].
+        # that leads from path[i] on, ``scans[i]`` an iterator over the
+        # rest of path[i]'s row.
         for s in free:
             path = [s]
-            pos = [indptr[s]]
+            scans = [iter(rows[s])]
             ends = []
             while path:
                 u = path[-1]
                 d = dist[u] + 1
-                for k in range(pos[-1], indptr[u + 1]):
-                    v = indices[k]
+                for v in scans[-1]:
                     w = match_end[v]
                     if w == -1:
                         if d == shortest:
@@ -149,11 +125,10 @@ def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
                     # dead end: no shortest path runs through u this phase
                     dist[u] = inf
                     path.pop()
-                    pos.pop()
+                    scans.pop()
                     if ends:
                         ends.pop()
                     continue
-                pos[-1] = k + 1
                 ends.append(v)
                 if w == -1:
                     for b, e in zip(path, ends):
@@ -161,21 +136,21 @@ def hopcroft_karp(indptr, indices, n_begin, n_end, start=None):
                         match_end[e] = b
                     break
                 path.append(w)
-                pos.append(indptr[w])
+                scans.append(iter(rows[w]))
         free = [u for u in free if match_begin[u] == -1]
-    return np.array(match_begin, np.int64), np.array(match_end, np.int64)
+    return tuple(match_begin), tuple(match_end)
 
 
-def tarjan_scc(indptr, indices, n):
+def tarjan_scc(rows):
     """Strongly connected components; returns (comp_id, n_comp).
 
-    ``comp_id`` is an int64 array and ``n_comp`` an int.  Component ids
-    follow Tarjan's pop order: if some edge leads from component a to
-    component b (a != b) then comp_id[b] < comp_id[a], i.e. ascending id
-    is a sinks-first topological order.
+    Every id in ``rows`` is a node, so a system passes its state arcs
+    only.  ``comp_id`` is a tuple of ints, one per node, and ``n_comp`` an
+    int.  Component ids follow Tarjan's pop order: if some edge leads from
+    component a to component b (a != b) then comp_id[b] < comp_id[a],
+    i.e. ascending id is a sinks-first topological order.
     """
-    indptr = indptr.tolist()
-    indices = indices.tolist()
+    n = len(rows)
     order = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -190,15 +165,11 @@ def tarjan_scc(indptr, indices, n):
         counter += 1
         scc_stack.append(root)
         on_stack[root] = True
-        nodes = [root]  # the DFS path, with the next edge slot of each
-        slots = [indptr[root]]
+        nodes = [root]  # the DFS path, with an iterator over the rest of each row
+        scans = [iter(rows[root])]
         while nodes:
             u = nodes[-1]
-            k = slots[-1]
-            stop = indptr[u + 1]
-            while k < stop:
-                v = indices[k]
-                k += 1
+            for v in scans[-1]:
                 if order[v] == -1:
                     break
                 if on_stack[v] and order[v] < low[u]:
@@ -213,38 +184,37 @@ def tarjan_scc(indptr, indices, n):
                             break
                     n_comp += 1
                 nodes.pop()
-                slots.pop()
+                scans.pop()
                 if nodes and low[u] < low[nodes[-1]]:
                     low[nodes[-1]] = low[u]
                 continue
-            slots[-1] = k
             order[v] = low[v] = counter
             counter += 1
             scc_stack.append(v)
             on_stack[v] = True
             nodes.append(v)
-            slots.append(indptr[v])
-    return np.array(comp, np.int64), n_comp
+            scans.append(iter(rows[v]))
+    return tuple(comp), n_comp
 
 
-def search(indptr, indices, owner):
+def search(rows, owner, via=None):
     """Breadth-first search from every labelled node at once.
 
-    ``owner`` is an int array with one label per node, -1 where no search
-    starts; it is copied, never written.  A node takes the label of the
-    node that reaches it first.  Returns the labels as a list and the
-    sorted (lower, higher) label pairs whose searches reach a common node.
-    Rank classes search alternating paths with it, accessibility the
-    reversed arcs.
+    ``owner`` holds one int label per node, -1 where no search starts; it
+    is copied, never written.  From node u the search steps to every node
+    in ``rows[u]``, or, with ``via``, to ``via[e]`` for every e in
+    ``rows[u]``.  A node takes the label of the node that reaches it
+    first.  Returns the labels as a list and the sorted (lower, higher)
+    label pairs whose searches reach a common node.  Rank classes search
+    alternating paths with it, ``via`` the matching from ends to begins;
+    accessibility searches the reversed state arcs.
     """
-    indptr = indptr.tolist()
-    indices = indices.tolist()
-    owner = owner.tolist()
+    owner = list(owner)
     queue = [u for u, label in enumerate(owner) if label >= 0]
     clashes = set()
     for u in queue:  # the loop also visits the nodes appended below
         mine = owner[u]
-        for w in indices[indptr[u]:indptr[u + 1]]:
+        for w in rows[u] if via is None else map(via.__getitem__, rows[u]):
             theirs = owner[w]
             if theirs < 0:
                 owner[w] = mine

@@ -73,8 +73,8 @@ def export_dot(sys, color_by="alpha", names=None):
     # Sorting the lines sorts the arcs by (source, target) label: each
     # label ends in a quote, which sorts before any label character.
     lines.extend(sorted(
-        f'  "x{b}" -> "x{e}";' if e <= sys.n else f'  "x{b}" -> "y{e - sys.n}";'
-        for b, e in build_digraph(sys).edges
+        f'  "x{b}" -> "x{e + 1}";' if e < sys.n else f'  "x{b}" -> "y{e - sys.n + 1}";'
+        for b, row in enumerate(build_digraph(sys).rows, start=1) for e in row
     ))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,8 +12,6 @@ finds every set.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._kernels import hopcroft_karp, search
 from .errors import DegenerateStructureError
 from .structure import build_digraph
@@ -35,11 +33,11 @@ def maximum_matching(bg):
     match_begin, _ = bg.matching
     edges = []
     unmatched = []
-    for b in range(bg.n_begin):
-        if match_begin[b] >= 0:
-            edges.append((b + 1, int(match_begin[b]) + 1))
+    for b, e in enumerate(match_begin, start=1):
+        if e >= 0:
+            edges.append((b, e + 1))
         else:
-            unmatched.append(b + 1)
+            unmatched.append(b)
     return Matching(edges=tuple(edges), unmatched_begin=tuple(unmatched))
 
 
@@ -53,9 +51,8 @@ def s_rank(sys, include_h=False):
     match_begin, _ = build_digraph(sys.without_measurements()).matching
     if include_h and sys.p:
         g = build_digraph(sys)
-        match_begin, _ = hopcroft_karp(g.indptr, g.indices, g.n_begin, g.n_end,
-                                       start=match_begin)
-    return int((match_begin >= 0).sum())
+        match_begin, _ = hopcroft_karp(g.rows, g.n_end, start=match_begin)
+    return len(match_begin) - match_begin.count(-1)
 
 
 @dataclass(frozen=True)
@@ -77,14 +74,14 @@ def contractions(bg):
     come from the graph's own cold matching, found once per graph.
     """
     match_begin, match_end = bg.matching
-    # The gather turns each end into the begin matched to it, so the
-    # search steps from begin to begin.  It never reads a -1: every row
-    # it scans lies on an alternating path from an unmatched begin, and
-    # an unmatched end there would be an augmenting path, which a
+    # Stepping via match_end turns each end into the begin matched to it,
+    # so the search goes from begin to begin.  It never reads a -1: every
+    # row it scans lies on an alternating path from an unmatched begin,
+    # and an unmatched end there would be an augmenting path, which a
     # maximum matching leaves none of.
     owner, clashes = search(
-        bg.indptr, match_end[bg.indices],
-        np.where(match_begin < 0, np.arange(bg.n_begin), -1))
+        bg.rows, [u if e < 0 else -1 for u, e in enumerate(match_begin)],
+        via=match_end)
     if clashes:
         overlaps = tuple((a + 1, b + 1) for a, b in clashes)
         # Name only the first three pairs, so the message stays one short line.

@@ -26,13 +26,13 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .errors import NumericError, ParameterError
 from .matching import s_rank
 from .partition import theorem_check
-from .structure import _entries
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 5
@@ -133,6 +133,12 @@ def _generator():
     if rng is None:
         rng = _thread.rng = np.random.Generator(np.random.PCG64(0))
     return rng
+
+
+def _entries(pattern):
+    """A validated pattern's (row, column) entries as an (m, 2) int64 array."""
+    flat = np.fromiter(chain.from_iterable(pattern), np.int64, 2 * len(pattern))
+    return flat.reshape(-1, 2)
 
 
 def _flat_offsets(sys):
@@ -303,9 +309,11 @@ def _unobservable_modes(r, basis, tol):
     taken to pass, also without one: a defective pair of modes splits by
     about that much under perturbations at the threshold.  Only the few
     in between cost an SVD of B - lambda*I, which keeps the whole test
-    O(n^3).  Each eigenvalue of B also claims its nearest eigenvalue of
-    A, so the list is nonempty exactly when r < n, even where the
-    eigensolver splits a defective cluster further than the test reaches.
+    O(n^3).  The norm of [A; H] costs an SVD too, so it is computed only
+    when its Frobenius bounds leave some eigenvalue undecided.  Each
+    eigenvalue of B also claims its nearest eigenvalue of A, so the list
+    is nonempty exactly when r < n, even where the eigensolver splits a
+    defective cluster further than the test reaches.
     """
     a = r.a
     n, rank = a.shape[0], basis.shape[0]
@@ -321,14 +329,21 @@ def _unobservable_modes(r, basis, tol):
     q, _ = np.linalg.qr(basis.T, mode="complete")
     w = q[:, rank:]
     block = w.T @ a @ w
-    scale = np.linalg.norm(np.vstack([a, r.h]), 2)
     gap = np.abs(eigenvalues[:, None] - _eigvals(block, a)[None, :])
     nearest = gap.min(axis=1)
-    deficient = nearest <= tol * scale
-    eye = np.eye(n - rank)
-    for i in np.flatnonzero(~deficient & (nearest <= math.sqrt(tol) * scale)):
-        sv = np.linalg.svd(block - eigenvalues[i] * eye, compute_uv=False)
-        deficient[i] = sv[-1] <= tol * scale
+    # The largest singular value of the n-column stack [A; H] lies in
+    # [F / sqrt(n), F], F its Frobenius norm; widened by 1e-9 against
+    # rounding, the bounds decide most eigenvalues as the exact scale
+    # would, and that scale costs an SVD of the stack.
+    frobenius = math.hypot(np.linalg.norm(a), np.linalg.norm(r.h))
+    deficient = nearest <= tol * (frobenius / math.sqrt(n) * (1 - 1e-9))
+    if (~deficient & (nearest <= math.sqrt(tol) * (frobenius * (1 + 1e-9)))).any():
+        scale = np.linalg.norm(np.vstack([a, r.h]), 2)
+        deficient = nearest <= tol * scale
+        eye = np.eye(n - rank)
+        for i in np.flatnonzero(~deficient & (nearest <= math.sqrt(tol) * scale)):
+            sv = np.linalg.svd(block - eigenvalues[i] * eye, compute_uv=False)
+            deficient[i] = sv[-1] <= tol * scale
     deficient[gap.argmin(axis=0)] = True
     return tuple(complex(lam) for lam in eigenvalues[deficient])
 

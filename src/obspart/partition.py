@@ -22,7 +22,7 @@ observability).
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._kernels import csr_from_edges, hopcroft_karp
+from ._kernels import hopcroft_karp
 from .errors import (
     InconsistencyError,
     InfeasiblePlacementError,
@@ -163,19 +163,16 @@ def forbid_states(alpha_classes, beta_classes, forbidden):
     return reduce(alpha_classes, "alpha"), reduce(beta_classes, "beta")
 
 
-def _overlap_edges(alpha, beta):
-    """Sorted (i, j) pairs of alpha class i meeting beta class j."""
+def _overlap_rows(alpha, beta):
+    """Row i lists, ascending, the beta classes that alpha class i meets."""
     beta_of = {state: j for j, cls in enumerate(beta) for state in cls}
-    return [
-        (i, j)
-        for i, cls in enumerate(alpha)
-        for j in sorted({beta_of[s] for s in cls if s in beta_of})
-    ]
+    return tuple(
+        tuple(sorted({beta_of[s] for s in cls if s in beta_of})) for cls in alpha
+    )
 
 
 def _overlap_matching(alpha, beta):
-    indptr, indices = csr_from_edges(len(alpha), _overlap_edges(alpha, beta))
-    return hopcroft_karp(indptr, indices, len(alpha), len(beta))
+    return hopcroft_karp(_overlap_rows(alpha, beta), len(beta))
 
 
 def _witness(alpha, beta, match_begin, match_end):
@@ -226,7 +223,7 @@ def minimal_placement(alpha_classes, beta_classes, *, sys=None, all_witnesses=Fa
     alpha = _normalize_classes(alpha_classes, "alpha")
     beta = _normalize_classes(beta_classes, "beta")
     match_begin, match_end = _overlap_matching(alpha, beta)
-    overlap = int((match_begin >= 0).sum())
+    overlap = len(alpha) - match_begin.count(-1)
     count = len(alpha) + len(beta) - overlap
 
     if all_witnesses:

@@ -7,16 +7,22 @@ count against parenthood.  A component is *matched* when its internal
 bipartite restriction admits a perfect matching (equivalently, a family
 of disjoint cycles covers all of its states; a singleton qualifies only
 through a self-loop).
+
+Measurement ends leave every component and flag alone, so both
+``decompose`` and ``accessibility_check`` work on the bare graph's state
+rows, and accessibility searches the reversed state arcs that the bare
+graph keeps, from the measured states.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain, compress
+from operator import eq, not_
 
-import numpy as np
-
-from ._kernels import csr_from_edges, hopcroft_karp, search, tarjan_scc
+from ._kernels import hopcroft_karp, search, tarjan_scc
 from .errors import InconsistencyError, PreconditionError
-from .structure import build_digraph
+from .structure import build_digraph, split
 
 
 @dataclass(frozen=True)
@@ -24,7 +30,7 @@ class SccDecomposition:
     components: tuple    # tuples of ascending state numbers, sorted by lowest member
     parent_flags: tuple  # bool per component: no arc into another component
     matched_flags: tuple  # bool per component: internal perfect matching exists
-    # (src_comp, dst_comp) arrays with one entry per arc between components
+    # (src_comp, dst_comp) tuples with one entry per arc between components
     cross_arcs: tuple = field(repr=False, compare=False)
 
     @cached_property
@@ -33,8 +39,7 @@ class SccDecomposition:
 
         Built on first read: no report needs it.
         """
-        src, dst = self.cross_arcs
-        return tuple(sorted(set(zip(src.tolist(), dst.tolist()))))
+        return tuple(sorted(set(zip(*self.cross_arcs))))
 
     def component_of(self, state):
         for idx, comp in enumerate(self.components):
@@ -48,66 +53,68 @@ class SccDecomposition:
 
 def decompose(dg):
     """SCC decomposition of the state part of a system graph."""
-    n = dg.n
-    src, dst = dg.arcs()
-    if dg.p:
-        states = dst < n
-        src, dst = src[states], dst[states]
-        csr = csr_from_edges(n, np.column_stack([src, dst]))
-    else:
-        # Every pair of a bare graph ends at a state: its CSR is the state CSR.
-        csr = dg.indptr, dg.indices
-    comp_raw, n_comp = tarjan_scc(*csr, n)
+    bare = dg.bare
+    n, rows = bare.n, bare.rows
+    comp_raw, n_comp = tarjan_scc(rows)
 
     # States are scanned in ascending order, so a component first shows up
-    # at its lowest member: insertion order is the sorted order.
-    groups = {}
-    for state, c in enumerate(comp_raw.tolist(), start=1):
-        groups.setdefault(c, []).append(state)
-    components = tuple(tuple(members) for members in groups.values())
-    renumber = np.empty(n_comp, np.int64)
-    renumber[list(groups)] = np.arange(n_comp)
-    comp = renumber[comp_raw]
+    # at its lowest member: first-appearance order is the sorted order.
+    renumber = dict(zip(dict.fromkeys(comp_raw), range(n_comp)))
+    comp = list(map(renumber.__getitem__, comp_raw))
+    # A stable sort by component keeps each component's states ascending.
+    states = tuple([u + 1 for u in sorted(range(n), key=comp.__getitem__)])
+    sizes = Counter(comp)
+    components = split(states, list(accumulate(
+        map(sizes.__getitem__, range(n_comp)), initial=0)))
 
-    cs, cd = comp[src], comp[dst]
-    cross = cs != cd
-    is_parent = np.ones(n_comp, bool)
-    is_parent[cs[cross]] = False
+    # Every arc's (source, target) components, flat in row order.
+    ends = list(chain.from_iterable(rows))
+    cs = [c for c, row in zip(comp, rows) for _ in row]
+    cd = list(map(comp.__getitem__, ends))
+    inside = list(map(eq, cs, cd))
+    cross_src = tuple(compress(cs, map(not_, inside)))
+    cross_dst = tuple(compress(cd, map(not_, inside)))
+    sources = set(cross_src)
 
     # Intra-component arcs form a block-diagonal bipartite graph, so one
     # maximum matching is maximum on every block: a component has a
-    # perfect matching iff all of its states are matched.  It starts from
-    # the graph's matching less the pairs that leave their component.
-    internal = csr_from_edges(n, np.column_stack([src[~cross], dst[~cross]]))
-    start = dg.matching[0].copy()
-    inside = (start >= 0) & (start < n)
-    inside[inside] = comp[inside] == comp[start[inside]]
-    start[~inside] = -1
-    match_begin, _ = hopcroft_karp(*internal, n, n, start=start)
-    short = np.bincount(comp[match_begin < 0], minlength=n_comp)
+    # perfect matching iff all of its states are matched.  A row with no
+    # arc out of its component is kept as it is.  The matching starts
+    # from the bare one less the pairs that leave their component.
+    kept = tuple(compress(ends, inside))
+    at = list(accumulate(inside, initial=0))
+    bounds = list(map(at.__getitem__, accumulate(map(len, rows), initial=0)))
+    internal = tuple(row if hi - lo == len(row) else kept[lo:hi]
+                     for row, lo, hi in zip(rows, bounds, bounds[1:]))
+    start = [e if e >= 0 and comp[e] == c else -1
+             for e, c in zip(bare.matching[0], comp)]
+    match_begin, _ = hopcroft_karp(internal, n, start=start)
+    short = {c for c, e in zip(comp, match_begin) if e < 0}
 
     return SccDecomposition(
         components=components,
-        parent_flags=tuple(is_parent.tolist()),
-        matched_flags=tuple((short == 0).tolist()),
-        cross_arcs=(cs[cross], cd[cross]),
+        parent_flags=tuple(c not in sources for c in range(n_comp)),
+        matched_flags=tuple(c not in short for c in range(n_comp)),
+        cross_arcs=(cross_src, cross_dst),
     )
 
 
 def accessibility_check(dg):
     """Split the states by whether a directed path reaches a measurement.
 
-    Returns ``(accessible, inaccessible)``, both ascending tuples.
+    Returns ``(accessible, inaccessible)``, both ascending tuples.  A
+    state reaches a measurement exactly when it reaches a measured state,
+    whose row ends with a measurement end, so one search runs from the
+    measured states over the reversed state arcs.
     """
+    n = dg.n
     if dg.p == 0:
-        return (), tuple(range(1, dg.n + 1))
-    src, dst = dg.arcs()
-    # One search from every measurement, labelled 0, over reversed arcs.
-    labels, _ = search(*csr_from_edges(dg.n + dg.p, np.column_stack([dst, src])),
-                       np.repeat([-1, 0], [dg.n, dg.p]))
-    states = range(1, dg.n + 1)
-    return (tuple(s for s in states if labels[s - 1] >= 0),
-            tuple(s for s in states if labels[s - 1] < 0))
+        return (), tuple(range(1, n + 1))
+    labels, _ = search(dg.reverse,
+                       [0 if row and row[-1] >= n else -1 for row in dg.rows])
+    states = range(1, n + 1)
+    return (tuple(compress(states, map((0).__eq__, labels))),
+            tuple(compress(states, labels)))
 
 
 def block_form_certificate(sys):

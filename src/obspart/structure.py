@@ -12,13 +12,17 @@ reads one integer graph per system, built on first use and cached:
 Pairs are (state, end) with ends in one range 1..n+p: values up to n are
 states, the rest measurements.  Read as arcs, the pairs are the system
 digraph; read as (begin, end) pairs, they are its bipartite companion,
-whose maximum matchings compute structural ranks.
+whose maximum matchings compute structural ranks.  The graph keeps them
+0-based as rows, one tuple of ascending ends per state.
 
 Systems derived from one another by adding or dropping measurement rows
 share one bare system.  Its graph is the only one built from the A
-pattern, which the others extend with their measurement pairs, and it
+pattern.  The others copy its rows and replace only those of measured
+states, each by the bare row followed by the state's measurement ends,
+so every unmeasured row is the bare graph's own tuple.  The bare graph
 finds one maximum matching, from which the matchings of the graphs that
-only add ends to it start.
+only add ends to it start, and keeps the reversed state arcs that every
+accessibility check searches.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._kernels import csr_from_edges, hopcroft_karp
+from ._kernels import hopcroft_karp
 from .errors import MalformedInputError
 
 
@@ -215,20 +219,24 @@ class StructuredSystem:
         """The system's SystemGraph, built on first use.
 
         Only the bare system reads the A pattern; a system with rows
-        extends its bare graph's pairs with its own measurement pairs.
+        extends its bare graph's rows with its own measurement ends.
         """
+        n = self.n
         if self.p == 0:
-            pairs = _entries(self.a_pattern)[:, ::-1] - 1
-        else:
-            h = _entries(self.h_pattern)
-            pairs = np.concatenate([
-                np.column_stack(self._bare.graph.arcs()),
-                np.column_stack([h[:, 1] - 1, self.n - 1 + h[:, 0]]),
-            ])
-        indptr, indices = csr_from_edges(self.n, pairs)
-        # Every layer shares these arrays, so none may write to them.
-        indptr.flags.writeable = indices.flags.writeable = False
-        return SystemGraph(n=self.n, p=self.p, indptr=indptr, indices=indices)
+            flat = np.fromiter(chain.from_iterable(self.a_pattern), np.int64,
+                               2 * len(self.a_pattern))
+            # Entry (i, j) is the pair (j - 1, i - 1), keyed (j - 1) * n + i - 1.
+            return SystemGraph(n=n, p=0, rows=_rows(
+                n, flat[1::2] * n + flat[0::2] - (n + 1)))
+        bare = self._bare.graph
+        measured = {}
+        for i, j in self.h_pattern:
+            measured.setdefault(j - 1, []).append(n + i - 1)
+        rows = list(bare.rows)
+        for state, ends in measured.items():
+            # Measurement ends follow every state end, so the row stays sorted.
+            rows[state] += tuple(sorted(ends))
+        return SystemGraph(n=n, p=self.p, rows=tuple(rows), base=bare)
 
 
 def _as_tuples(entries):
@@ -254,10 +262,22 @@ def _as_tuple(entry):
         return entry
 
 
-def _entries(pattern):
-    """A validated pattern's (row, column) entries as an (m, 2) int64 array."""
-    flat = np.fromiter(chain.from_iterable(pattern), np.int64, 2 * len(pattern))
-    return flat.reshape(-1, 2)
+def split(flat, bounds):
+    """The slices ``flat[bounds[k]:bounds[k + 1]]`` of a flat tuple, as tuples."""
+    return tuple([flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+
+
+def _rows(n, keys):
+    """Rows of n states from an int64 array of keys ``state * n + end``.
+
+    Every end is a state.  One numpy sort orders the pairs: on the
+    smallest patterns it costs a few microseconds more than sorting
+    Python ints, but at 10^5 states, where the keys outgrow a one-digit
+    Python int, the build takes well under half the time.
+    """
+    keys = np.sort(keys)
+    bounds = np.searchsorted(keys, np.arange(0, n * n + 1, n)).tolist()
+    return split(tuple((keys % n).tolist()), bounds)
 
 
 def _unchecked(n, p, a_pattern, h_pattern):
@@ -271,18 +291,19 @@ def _unchecked(n, p, a_pattern, h_pattern):
 
 @dataclass(frozen=True, eq=False)
 class SystemGraph:
-    """The pairs of [A; H] as a CSR, shared by every structural layer.
+    """The pairs of [A; H] as rows, shared by every structural layer.
 
-    ``indptr`` and ``indices`` hold the 0-based pairs: one row per state,
-    ends ascending within a row.  Only arrays are kept, the CSR and, once
-    asked for, the ``matching``, because a graph lives as long as its
-    system.
+    ``rows[u]`` is a tuple of state u's 0-based ends, ascending: its state
+    ends, then its measurement ends n..n+p-1.  ``base`` is the bare graph
+    whose rows these extend, None for a bare graph.  Only tuples are
+    kept, the rows and, once asked for, the ``matching`` and the
+    ``reverse`` rows, because a graph lives as long as its system.
     """
 
     n: int
     p: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    rows: tuple
+    base: "SystemGraph | None" = field(default=None, repr=False)
 
     @property
     def n_begin(self):
@@ -293,14 +314,15 @@ class SystemGraph:
         return self.n + self.p
 
     @property
+    def bare(self):
+        """The graph of the bare system: ``base``, or this graph itself."""
+        return self if self.base is None else self.base
+
+    @property
     def edges(self):
         """The 1-based (state, end) pairs in lexical order."""
-        src, dst = self.arcs()
-        return tuple(zip((src + 1).tolist(), (dst + 1).tolist()))
-
-    def arcs(self):
-        """0-based (state, end) index arrays, in pair order."""
-        return np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
+        return tuple((u, v + 1) for u, row in enumerate(self.rows, start=1)
+                     for v in row)
 
     @cached_property
     def matching(self):
@@ -309,12 +331,24 @@ class SystemGraph:
         Hopcroft-Karp from the empty matching, so its tie-breaks are the
         kernel's own.  A bare system's matching seeds the contractions,
         and the matchings of the graphs that extend it start from it.
-        The arrays are read-only int64, like the CSR.
+        Both are tuples, like the rows.
         """
-        match_begin, match_end = hopcroft_karp(
-            self.indptr, self.indices, self.n_begin, self.n_end)
-        match_begin.flags.writeable = match_end.flags.writeable = False
-        return match_begin, match_end
+        return hopcroft_karp(self.rows, self.n_end)
+
+    @cached_property
+    def reverse(self):
+        """The state arcs reversed: ``reverse[v]`` lists, ascending, the
+        states with an arc into state v.
+
+        Built once per bare graph; every graph that extends it reads the
+        bare graph's.
+        """
+        if self.base is not None:
+            return self.base.reverse
+        n, rows = self.n, self.rows
+        lengths = np.fromiter(map(len, rows), np.int64, n)
+        ends = np.fromiter(chain.from_iterable(rows), np.int64)
+        return _rows(n, ends * n + np.repeat(np.arange(n), lengths))
 
 
 def build_digraph(sys):

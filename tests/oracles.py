@@ -522,3 +522,28 @@ def hopcroft_karp_reference(indptr, indices, n_begin, n_end, start=None):
                 pos.append(indptr[w])
         free = [u for u in free if match_begin[u] == -1]
     return np.array(match_begin, np.int64), np.array(match_end, np.int64)
+
+
+# ---------------------------------------------------------------------------
+# rows <-> CSR, for handing the kernels' row graphs to CSR references
+
+def rows_from_pairs(n_nodes, pairs):
+    """One tuple of ascending ends per node, from (node, end) pairs."""
+    rows = [[] for _ in range(n_nodes)]
+    for u, v in pairs:
+        rows[u].append(v)
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
+def rows_to_csr(rows):
+    """(indptr, indices) int64 arrays holding the same rows."""
+    indptr = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.array([v for row in rows for v in row], np.int64)
+    return indptr, indices
+
+
+def csr_to_rows(indptr, indices):
+    """The rows of a CSR, one tuple of ints per node."""
+    indptr, indices = np.asarray(indptr).tolist(), np.asarray(indices).tolist()
+    return tuple(tuple(indices[a:b]) for a, b in zip(indptr, indptr[1:]))

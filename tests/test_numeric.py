@@ -487,6 +487,36 @@ class TestPbhReference:
             report = rank_report(system, seed, trials=2, tol=tol)
             assert_same_modes(report.pbh_rank_deficient_eigenvalues, want)
 
+    @pytest.mark.parametrize("diagonal, want, exact_norms", [
+        # x1's gap 1e-3 is above sqrt(tol) * F: it passes on the bound alone.
+        ((1.0, 1.001, 3.0), (1.001, 3.0), 0),
+        # x1's gap 1e-6 lies between tol * F / sqrt(3) and sqrt(tol) * F,
+        # and the SVD of B - I lets it pass.
+        ((1.0, 1.000001, 3.0), (1.000001, 3.0), 1),
+        # F / sqrt(3) = 57.7 against sigma_max = 100: x1's gap 8e-7 is
+        # above tol times the lower bound, below tol times the exact norm.
+        ((1.0, 1.0000008, 100.0), (1.0, 1.0000008, 100.0), 1),
+    ])
+    def test_exact_norm_only_between_the_bounds(self, monkeypatch, diagonal, want,
+                                                exact_norms):
+        # H measures x1 alone, so x2 and x3 span the unobservable block.
+        r = NumericRealization(a=np.diag(diagonal), h=np.array([[1.0, 0.0, 0.0]]),
+                               seed=0, trial=0)
+        basis = observable_basis_reference(r, 1e-8)
+        expected = unobservable_modes_reference(r, basis, 1e-8)
+        norms = []
+        norm = np.linalg.norm
+
+        def counted(x, ord=None, *args, **kwargs):
+            norms.append(ord)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        got = pbh_check(r, 1e-8)
+        assert_same_modes(got, expected)
+        assert got == want
+        assert norms.count(2) == exact_norms
+
 
 class TestRankReport:
     @pytest.mark.parametrize("kwargs, message", [

@@ -18,7 +18,7 @@ from obspart import (
     theorem_check,
 )
 from obspart import _kernels, matching, scc
-from obspart.partition import _label_rows, _overlap_edges, _row_states
+from obspart.partition import _label_rows, _overlap_rows, _row_states
 from conftest import FIX15_A, FIX15_ALPHA, FIX15_BETA, S
 from oracles import greedy_row_labels, numeric_observable, overlap_edges
 from strategies import systems
@@ -258,7 +258,10 @@ class TestBookkeeping:
     @given(families_and_rows())
     def test_matches_quadratic_references(self, case):
         alpha, beta, rows = case
-        assert _overlap_edges(alpha, beta) == overlap_edges(alpha, beta)
+        overlap = _overlap_rows(alpha, beta)
+        assert len(overlap) == len(alpha)
+        assert ([(i, j) for i, row in enumerate(overlap) for j in row]
+                == overlap_edges(alpha, beta))
         assert _label_rows(rows, alpha, beta) == greedy_row_labels(rows, alpha, beta)
 
     @given(systems(n_max=6, p_max=4))

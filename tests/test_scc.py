@@ -9,11 +9,12 @@ from obspart import (
     build_digraph,
     decompose,
 )
+import obspart.partition as partition
 import obspart.scc as scc
 import obspart.structure as structure
 from obspart.partition import _access_classes
 from conftest import S
-from oracles import brute_sccs, cycle_family_covers
+from oracles import bfs_reach, brute_sccs, cycle_family_covers
 from strategies import systems
 
 
@@ -98,24 +99,32 @@ class TestDecompose:
         alone = decompose(build_digraph(bare))
         assert got == alone and got.order == alone.order
 
-    def test_bare_graph_serves_as_its_own_state_csr(self, fix15, monkeypatch):
+    def test_bare_graph_rows_serve_every_decomposition(self, fix15, monkeypatch):
         calls = []
 
         def counted(module):
-            build = module.csr_from_edges
+            build = module.split
 
-            def csr(*args):
+            def split(*args):
                 calls.append(module.__name__)
                 return build(*args)
-            return csr
+            return split
 
         for module in (scc, structure):
-            monkeypatch.setattr(module, "csr_from_edges", counted(module))
+            monkeypatch.setattr(module, "split", counted(module))
         bare = S(fix15.n, 0, sorted(fix15.a_pattern))
         classes = _access_classes(bare)
-        # one for the graph itself, one for the arcs inside components
+        # one for the graph itself, one for the components; the rows of
+        # the arcs inside components are the bare rows or slices of one
+        # flat tuple
         assert calls == ["obspart.structure", "obspart.scc"]
         assert classes == ((9,), (11, 12, 13, 14))
+        # A system with rows copies the bare rows, and its decomposition
+        # runs on them: no rows are split for its graph.
+        calls.clear()
+        grown = bare.with_sensor_rows([1, 9, 9])
+        assert decompose(build_digraph(grown)) == decompose(build_digraph(bare))
+        assert calls == ["obspart.scc"] * 2
 
     @given(systems(n_max=6, allow_h=False))
     def test_matched_iff_cycle_family(self, sys):
@@ -156,6 +165,53 @@ class TestAccessibility:
             for i in dec.parent_components()
         )
         assert (not inaccessible) == parents_ok
+
+    @given(systems(n_max=7, p_max=4))
+    def test_matches_a_search_back_from_every_measurement(self, sys):
+        # Over the whole graph, measurement nodes included: arcs reversed,
+        # one search from every measurement node.  Rows may measure
+        # several states, or none.
+        n = sys.n
+        reversed_arcs = ([(i - 1, j - 1) for (i, j) in sys.a_pattern]
+                         + [(n + i - 1, j - 1) for (i, j) in sys.h_pattern])
+        reach = bfs_reach(n + sys.p, reversed_arcs, range(n, n + sys.p))
+        want = tuple(s for s in range(1, n + 1) if s - 1 in reach)
+        accessible, inaccessible = accessibility_check(build_digraph(sys))
+        assert accessible == want
+        assert inaccessible == tuple(s for s in range(1, n + 1) if s not in want)
+
+    def test_multi_state_rows_and_an_empty_row(self):
+        # Row 1 measures x2 and x4, row 2 nothing; x1 -> x2, x3 -> x3.
+        sys = S(4, 2, [(2, 1), (3, 3)], [(1, 2), (1, 4)])
+        assert accessibility_check(build_digraph(sys)) == ((1, 2, 4), (3,))
+        # A row that measures nothing leaves every state inaccessible.
+        assert accessibility_check(build_digraph(S(2, 1, [(2, 1)]))) == ((), (1, 2))
+
+    def test_reverse_built_once_per_bare_pattern(self, fix15, monkeypatch):
+        # One build of the bare rows and one of their reverse serve the
+        # check of the input and every placement self-check.
+        builds = []
+        rows = structure._rows
+
+        def counted(*args):
+            builds.append(args[0])
+            return rows(*args)
+
+        checks = []
+        check = partition.theorem_check
+
+        def counted_check(sys):
+            checks.append(sys.p)
+            return check(sys)
+
+        monkeypatch.setattr(structure, "_rows", counted)
+        monkeypatch.setattr(partition, "theorem_check", counted_check)
+        sys = S(fix15.n, 2, sorted(fix15.a_pattern), [(1, 1), (2, 9), (2, 10)])
+        assert not partition.theorem_check(sys).observable
+        report = partition.partition_report(sys, all_witnesses=True)
+        assert len(report.minimal_sets) > 1
+        assert len(checks) == 1 + len(report.minimal_sets)
+        assert builds == [fix15.n, fix15.n]
 
 
 class TestBlockForm:

@@ -18,7 +18,7 @@ from obspart import (
 from obspart.io import system_from_dict, system_to_dict
 from obspart.structure import _check_pattern
 from conftest import S
-from oracles import check_pattern_reference
+from oracles import check_pattern_reference, csr_to_rows
 from strategies import systems
 
 # One bad entry each, made from a valid entry (i, j) of a pattern with
@@ -254,8 +254,8 @@ class TestDigraph:
         assert len(dg.edges) == len(sys.a_pattern) + len(sys.h_pattern)
 
 
-def _scipy_csr(sys):
-    """indptr and indices of the system's (state, end) pairs, from scipy."""
+def _scipy_rows(sys):
+    """The rows of the system's (state, end) pairs, from scipy's sorted CSR."""
     begins = [j - 1 for (i, j) in sys.a_pattern] + [j - 1 for (i, j) in sys.h_pattern]
     ends = ([i - 1 for (i, j) in sys.a_pattern]
             + [sys.n + i - 1 for (i, j) in sys.h_pattern])
@@ -263,11 +263,11 @@ def _scipy_csr(sys):
         (np.ones(len(begins)), (np.array(begins, int), np.array(ends, int))),
         shape=(sys.n, sys.n + sys.p))
     ref.sort_indices()
-    return ref.indptr.tolist(), ref.indices.tolist()
+    return csr_to_rows(ref.indptr, ref.indices)
 
 
 class TestCsr:
-    """Derived systems extend the bare CSR; each must equal its own build."""
+    """Derived systems extend the bare rows; each must equal its own build."""
 
     @given(systems(), st.lists(st.integers(1, 8), max_size=3))
     def test_matches_scipy(self, sys, sensors):
@@ -277,7 +277,8 @@ class TestCsr:
         checked += [grown.without_row(row) for row in range(1, grown.p + 1)]
         for system in checked:
             g = build_digraph(system)
-            assert (g.indptr.tolist(), g.indices.tolist()) == _scipy_csr(system)
+            assert g.rows == _scipy_rows(system)
+            assert all(type(row) is tuple for row in g.rows)
 
 
 class TestBipartite:
