@@ -197,6 +197,24 @@ def tarjan_scc(rows):
     return tuple(comp), n_comp
 
 
+def inside(rows, label):
+    """Each row cut down to the ends that share its begin's ``label``.
+
+    Every id in ``rows`` indexes ``label``.  Returns a list holding each
+    row itself when nothing is cut, else a list of the ends kept, and the
+    set of labels whose rows lost an end.
+    """
+    internal, sources = [], set()
+    for row, mine in zip(rows, label):
+        for v in row:
+            if label[v] != mine:
+                row = [v for v in row if label[v] == mine]
+                sources.add(mine)
+                break
+        internal.append(row)
+    return internal, sources
+
+
 def search(rows, owner, via=None):
     """Breadth-first search from every labelled node at once.
 

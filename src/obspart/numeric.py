@@ -416,6 +416,7 @@ def verify_alpha_equivalence(sys, u, v, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     the structural rank of the bare state pattern by exactly one, then
     confirms the three ranks on a numeric realization.
     """
+    _check_seed(seed)
     _check_tol(tol)
     bare = sys.without_measurements()
     base = s_rank(bare)

@@ -10,19 +10,19 @@ through a self-loop).
 
 Measurement ends leave every component and flag alone, so both
 ``decompose`` and ``accessibility_check`` work on the bare graph's state
-rows, and accessibility searches the reversed state arcs that the bare
-graph keeps, from the measured states.
+rows.  ``decompose`` cuts each row to its own component in one pass: a
+component that loses an arc is no parent, and the cut rows carry the
+internal matching.  Accessibility searches the bare graph's kept
+reverse, the state arcs reversed, from the measured states.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress
-from operator import eq, not_
+from itertools import compress
 
-from ._kernels import hopcroft_karp, search, tarjan_scc
+from ._kernels import hopcroft_karp, inside, search, tarjan_scc
 from .errors import InconsistencyError, PreconditionError
-from .structure import build_digraph, split
+from .structure import build_digraph
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class SccDecomposition:
     components: tuple    # tuples of ascending state numbers, sorted by lowest member
     parent_flags: tuple  # bool per component: no arc into another component
     matched_flags: tuple  # bool per component: internal perfect matching exists
-    # (src_comp, dst_comp) tuples with one entry per arc between components
-    cross_arcs: tuple = field(repr=False, compare=False)
+    comp: tuple = field(repr=False, compare=False)  # component index per state, 0-based
+    rows: tuple = field(repr=False, compare=False)  # the bare graph's state rows
 
     @cached_property
     def order(self):
@@ -39,12 +39,13 @@ class SccDecomposition:
 
         Built on first read: no report needs it.
         """
-        return tuple(sorted(set(zip(*self.cross_arcs))))
+        comp = self.comp
+        return tuple(sorted({(comp[u], comp[v]) for u, row in enumerate(self.rows)
+                             for v in row if comp[u] != comp[v]}))
 
     def component_of(self, state):
-        for idx, comp in enumerate(self.components):
-            if state in comp:
-                return idx
+        if type(state) is int and 1 <= state <= len(self.comp):
+            return self.comp[state - 1]
         raise PreconditionError(f"state {state} not in any component")
 
     def parent_components(self):
@@ -57,45 +58,30 @@ def decompose(dg):
     n, rows = bare.n, bare.rows
     comp_raw, n_comp = tarjan_scc(rows)
 
-    # States are scanned in ascending order, so a component first shows up
-    # at its lowest member: first-appearance order is the sorted order.
-    renumber = dict(zip(dict.fromkeys(comp_raw), range(n_comp)))
-    comp = list(map(renumber.__getitem__, comp_raw))
-    # A stable sort by component keeps each component's states ascending.
-    states = tuple([u + 1 for u in sorted(range(n), key=comp.__getitem__)])
-    sizes = Counter(comp)
-    components = split(states, list(accumulate(
-        map(sizes.__getitem__, range(n_comp)), initial=0)))
-
-    # Every arc's (source, target) components, flat in row order.
-    ends = list(chain.from_iterable(rows))
-    cs = [c for c, row in zip(comp, rows) for _ in row]
-    cd = list(map(comp.__getitem__, ends))
-    inside = list(map(eq, cs, cd))
-    cross_src = tuple(compress(cs, map(not_, inside)))
-    cross_dst = tuple(compress(cd, map(not_, inside)))
-    sources = set(cross_src)
+    # States are scanned in ascending order, so each group lists its states
+    # ascending and the groups come in order of their lowest member.
+    groups = {}
+    for state, c in enumerate(comp_raw, start=1):
+        groups.setdefault(c, []).append(state)
+    renumber = dict(zip(groups, range(n_comp)))
+    comp = tuple(map(renumber.__getitem__, comp_raw))
 
     # Intra-component arcs form a block-diagonal bipartite graph, so one
     # maximum matching is maximum on every block: a component has a
-    # perfect matching iff all of its states are matched.  A row with no
-    # arc out of its component is kept as it is.  The matching starts
-    # from the bare one less the pairs that leave their component.
-    kept = tuple(compress(ends, inside))
-    at = list(accumulate(inside, initial=0))
-    bounds = list(map(at.__getitem__, accumulate(map(len, rows), initial=0)))
-    internal = tuple(row if hi - lo == len(row) else kept[lo:hi]
-                     for row, lo, hi in zip(rows, bounds, bounds[1:]))
+    # perfect matching iff all of its states are matched.  The matching
+    # starts from the bare one less the pairs that leave their component.
+    internal, sources = inside(rows, comp)
     start = [e if e >= 0 and comp[e] == c else -1
              for e, c in zip(bare.matching[0], comp)]
     match_begin, _ = hopcroft_karp(internal, n, start=start)
     short = {c for c, e in zip(comp, match_begin) if e < 0}
 
     return SccDecomposition(
-        components=components,
+        components=tuple(map(tuple, groups.values())),
         parent_flags=tuple(c not in sources for c in range(n_comp)),
         matched_flags=tuple(c not in short for c in range(n_comp)),
-        cross_arcs=(cross_src, cross_dst),
+        comp=comp,
+        rows=rows,
     )
 
 
@@ -125,12 +111,10 @@ def block_form_certificate(sys):
     structurally zero.  Both zero blocks are verified entry by entry
     before returning.
     """
-    dg = build_digraph(sys)
-    _, inaccessible = accessibility_check(dg)
+    accessible, inaccessible = accessibility_check(build_digraph(sys))
     if not inaccessible:
         raise PreconditionError("system has no inaccessible states")
     inacc = set(inaccessible)
-    order = tuple(sorted(inacc)) + tuple(s for s in range(1, sys.n + 1) if s not in inacc)
 
     for (i, j) in sys.a_pattern:
         if i not in inacc and j in inacc:
@@ -142,4 +126,4 @@ def block_form_certificate(sys):
             raise InconsistencyError(
                 f"h_pattern entry ({i}, {j}) measures an inaccessible state"
             )
-    return order
+    return inaccessible + accessible

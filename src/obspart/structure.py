@@ -262,11 +262,6 @@ def _as_tuple(entry):
         return entry
 
 
-def split(flat, bounds):
-    """The slices ``flat[bounds[k]:bounds[k + 1]]`` of a flat tuple, as tuples."""
-    return tuple([flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-
-
 def _rows(n, keys):
     """Rows of n states from an int64 array of keys ``state * n + end``.
 
@@ -277,7 +272,8 @@ def _rows(n, keys):
     """
     keys = np.sort(keys)
     bounds = np.searchsorted(keys, np.arange(0, n * n + 1, n)).tolist()
-    return split(tuple((keys % n).tolist()), bounds)
+    ends = tuple((keys % n).tolist())
+    return tuple([ends[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
 
 
 def _unchecked(n, p, a_pattern, h_pattern):

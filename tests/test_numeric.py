@@ -569,6 +569,14 @@ class TestVerifyAlpha:
         assert verify_alpha_equivalence(fix15, 4, 15)
         assert not verify_alpha_equivalence(fix15, 2, 4)
 
+    def test_bad_seed_raises_for_every_pair(self):
+        # (1, 2) fails the structural test, so the seed was never read there.
+        chain = S(3, 0, [(2, 1), (3, 2)])
+        for seed in (-1, True, 1.5):
+            for u, v in ((3, 3), (1, 2)):
+                with pytest.raises(ParameterError, match="seed"):
+                    verify_alpha_equivalence(chain, u, v, seed=seed)
+
 
 class TestVerifyBeta:
     def test_cycle_members_interchangeable(self, cycle3):

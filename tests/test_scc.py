@@ -62,8 +62,10 @@ class TestDecompose:
         dec = decompose(build_digraph(fix15))
         idx = dec.component_of(12)
         assert dec.components[idx] == (11, 12, 13, 14)
-        with pytest.raises(PreconditionError):
-            dec.component_of(99)
+        assert [dec.component_of(s) for s in range(1, fix15.n + 1)] == list(dec.comp)
+        for bad in (99, True, 2.0, 0, fix15.n + 1):
+            with pytest.raises(PreconditionError, match=f"^state {bad} not in any component$"):
+                dec.component_of(bad)
 
     @given(systems(n_max=7))
     def test_partition_and_acyclic_condensation(self, sys):
@@ -99,32 +101,60 @@ class TestDecompose:
         alone = decompose(build_digraph(bare))
         assert got == alone and got.order == alone.order
 
+    @given(systems(n_max=7))
+    def test_order_and_comp_match_the_brute_condensation(self, sys):
+        dec = decompose(build_digraph(sys))
+        arcs = [(s - 1, t - 1) for (s, t) in state_arcs(sys)]
+        owner = {v: c for c in brute_sccs(sys.n, arcs) for v in c}
+        index = {frozenset(s - 1 for s in comp): i for i, comp in enumerate(dec.components)}
+        condensation = {(index[owner[s]], index[owner[t]])
+                        for s, t in arcs if owner[s] != owner[t]}
+        assert dec.order == tuple(sorted(condensation))
+        assert len(dec.comp) == sys.n
+        for s in range(1, sys.n + 1):
+            assert s in dec.components[dec.comp[s - 1]]
+
     def test_bare_graph_rows_serve_every_decomposition(self, fix15, monkeypatch):
-        calls = []
+        builds = []
+        rows = structure._rows
 
-        def counted(module):
-            build = module.split
+        def counted(*args):
+            builds.append(args[0])
+            return rows(*args)
 
-            def split(*args):
-                calls.append(module.__name__)
-                return build(*args)
-            return split
+        matched = []
+        match = scc.hopcroft_karp
 
-        for module in (scc, structure):
-            monkeypatch.setattr(module, "split", counted(module))
+        def recorded(internal, n_end, start=None):
+            matched.append(internal)
+            return match(internal, n_end, start=start)
+
+        monkeypatch.setattr(structure, "_rows", counted)
+        monkeypatch.setattr(scc, "hopcroft_karp", recorded)
         bare = S(fix15.n, 0, sorted(fix15.a_pattern))
-        classes = _access_classes(bare)
-        # one for the graph itself, one for the components; the rows of
-        # the arcs inside components are the bare rows or slices of one
-        # flat tuple
-        assert calls == ["obspart.structure", "obspart.scc"]
-        assert classes == ((9,), (11, 12, 13, 14))
+        assert _access_classes(bare) == ((9,), (11, 12, 13, 14))
+        assert builds == [fix15.n]
         # A system with rows copies the bare rows, and its decomposition
-        # runs on them: no rows are split for its graph.
-        calls.clear()
+        # runs on them: no rows are built for its graph.
         grown = bare.with_sensor_rows([1, 9, 9])
-        assert decompose(build_digraph(grown)) == decompose(build_digraph(bare))
-        assert calls == ["obspart.scc"] * 2
+        dec = decompose(build_digraph(grown))
+        assert builds == [fix15.n]
+        assert dec.rows is bare.graph.rows
+        assert dec == decompose(build_digraph(bare))
+        # A row with no arc out of its component reaches the matching as
+        # the bare row itself; any other row as its ends inside.
+        assert len(matched) == 3
+        comp = dec.comp
+        for internal in matched:
+            cut = 0
+            for u, row in enumerate(bare.graph.rows):
+                ends = [v for v in row if comp[v] == comp[u]]
+                if len(ends) == len(row):
+                    assert internal[u] is row
+                else:
+                    assert internal[u] == ends
+                    cut += 1
+            assert 0 < cut < fix15.n
 
     @given(systems(n_max=6, allow_h=False))
     def test_matched_iff_cycle_family(self, sys):
