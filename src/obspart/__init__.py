@@ -1,10 +1,6 @@
-"""Structural observability analysis for sparse LTI systems.
-
-Everything works on sparsity patterns alone: build a
-:class:`StructuredSystem` from 1-based (row, column) entries of A and H,
-then ask which measurements matter (:func:`classify_measurements`), which
-sensor sites are interchangeable (:func:`equivalence_classes`), and how
-few sensors suffice (:func:`minimal_placement`).  The ``numeric`` module
+"""Structural observability analysis for sparse LTI systems, from
+sparsity patterns alone: which measurements matter, which sensor sites
+are interchangeable, and how few sensors suffice.  The ``numeric`` module
 cross-checks every structural verdict on random realizations.
 """
 
@@ -76,7 +72,6 @@ from .scc import (
 from .structure import (
     StructuredSystem,
     SystemGraph,
-    build_bipartite,
     build_digraph,
 )
 
@@ -109,7 +104,6 @@ __all__ = [
     "TheoremCheck",
     "accessibility_check",
     "block_form_certificate",
-    "build_bipartite",
     "build_digraph",
     "classify_measurements",
     "contractions",

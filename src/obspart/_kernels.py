@@ -1,11 +1,10 @@
 """Kernels for the hot graph loops: every interpreted loop over a graph.
 
-A graph is passed as ``rows``: a sequence with one row per node, each row
-a sequence of neighbor ids sorted ascending — the sort is what makes
-matching tie-breaks deterministic.  A SystemGraph's rows are tuples of
-plain ints, built once per graph, so the kernels loop over them as they
-are: no copy, and no numpy scalar boxed on each access.  No kernel writes
-to its arguments, and each one documents the types it returns.
+A graph is passed as ``rows``: one sequence of neighbor ids per node,
+sorted ascending, which makes matching tie-breaks deterministic.  The
+kernels loop over a SystemGraph's tuples of plain ints as they are, with
+no copy and no numpy scalar boxed per access.  No kernel writes to its
+arguments, and each one documents the types it returns.
 """
 
 
@@ -24,9 +23,8 @@ def hopcroft_karp(rows, n_end, start=None):
     It is copied, never written.
 
     From the empty matching the first phase is a greedy pass, each begin
-    in ascending order taking its lowest free end: that phase's BFS would
-    put every begin at distance 0 and find length 1, so its DFS could do
-    nothing else.  From a ``start`` the first phase is a full one.
+    in ascending order taking its lowest free end, which is all that
+    phase's DFS could do.  From a ``start`` the first phase is a full one.
 
     In each BFS every begin reached keeps the free root that reached it
     first.  A root is live when its region scans a free end, when the BFS
@@ -41,8 +39,7 @@ def hopcroft_karp(rows, n_end, start=None):
     Nothing a dropped root reaches lies on an augmenting path, so the
     distance labels outside its region, the shortest length and the paths
     the DFS takes are those of the search from every free begin, and the
-    matching is the same bit for bit.  States that no maximum matching
-    covers are searched from once, not once per phase.
+    matching is the same bit for bit.
     """
     n_begin = len(rows)
     inf = n_begin + n_end + 1
@@ -223,9 +220,7 @@ def search(rows, owner, via=None):
     in ``rows[u]``, or, with ``via``, to ``via[e]`` for every e in
     ``rows[u]``.  A node takes the label of the node that reaches it
     first.  Returns the labels as a list and the sorted (lower, higher)
-    label pairs whose searches reach a common node.  Rank classes search
-    alternating paths with it, ``via`` the matching from ends to begins;
-    accessibility searches the reversed state arcs.
+    label pairs whose searches reach a common node.
     """
     owner = list(owner)
     queue = [u for u, label in enumerate(owner) if label >= 0]

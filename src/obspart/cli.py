@@ -1,17 +1,7 @@
-"""Command-line front end.
+"""Command-line front end: ``obspart {analyze,place,verify,export-dot}``.
 
-    obspart analyze system.json            full structural + numeric report
-    obspart place system.json --forbid 12  placement under constraints
-    obspart verify system.json --trials 9  structural vs numeric verdict
-    obspart export-dot system.json         Graphviz rendering
-
-Inputs are JSON system files (``.mtx``/``.mm`` paths go through the
-Matrix Market importer instead).  Reports go to stdout or ``--out`` and
-are byte-stable for a fixed (input, seed, flags) triple.
-
-Exit codes: 0 success (and, for verify, verdict agreement); 1 analyze
-``--check`` on an unobservable system; 2 bad input or parameters; 3
-infeasible or out-of-domain structure; 4 verify disagreement.
+Reports are byte-stable for a fixed (input, seed, flags) triple.  The
+README's "Command line" section lists the commands and exit codes.
 """
 
 import argparse
@@ -47,7 +37,10 @@ EXIT_INFEASIBLE = 3
 EXIT_DISAGREEMENT = 4
 
 
-def _default_seed():
+def _seed_of(args):
+    """``--seed``, else ``OBSPART_SEED``, else the default seed."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("OBSPART_SEED")
     if raw is None:
         return DEFAULT_SEED
@@ -108,10 +101,9 @@ def _add_common(parser):
 def build_parser():
     """The CLI's argument parser, built on the first call and then kept.
 
-    Every ``main`` call in a process reads this one parser, which is
-    shared and must not be modified.  Reuse is safe because each
-    ``parse_args`` fills a fresh namespace and ``--forbid``'s ``append``
-    copies its default list before appending to it.
+    The parser is shared and must not be modified.  Reuse is safe because
+    each ``parse_args`` fills a fresh namespace, ``--forbid``'s ``append``
+    copies its default list, and ``analyze``'s ``forbid`` is a tuple.
     """
     parser = argparse.ArgumentParser(
         prog="obspart",
@@ -124,6 +116,7 @@ def build_parser():
     _add_common(p_an)
     p_an.add_argument("--check", action="store_true",
                       help="exit 1 when the system is not generically observable")
+    p_an.set_defaults(forbid=(), all_witnesses=False)
 
     p_pl = sub.add_parser("place", help="minimal sensor placement, with what-ifs")
     _add_common(p_pl)
@@ -133,6 +126,7 @@ def build_parser():
     p_pl.add_argument("--all-witnesses", action="store_true",
                       help=f"enumerate every minimal placement (at most "
                            f"{ALL_WITNESS_LIMIT} candidate states)")
+    p_pl.set_defaults(check=False)
 
     p_ve = sub.add_parser("verify", help="compare structural and numeric verdicts")
     _add_common(p_ve)
@@ -145,10 +139,6 @@ def build_parser():
     return parser
 
 
-def _seed_of(args):
-    return args.seed if args.seed is not None else _default_seed()
-
-
 def _check_numeric_args(args):
     if args.seed is not None and args.seed < 0:
         raise ParameterError(f"--seed must be non-negative, got {args.seed}")
@@ -158,21 +148,9 @@ def _check_numeric_args(args):
         raise ParameterError(f"--tol must be positive, got {args.tol}")
 
 
-def cmd_analyze(args):
-    _check_numeric_args(args)
-    seed = _seed_of(args)
-    system, names = _load(args.path)
-    check = theorem_check(system)
-    part = partition_report(system)
-    rank = rank_report(system, seed=seed, trials=args.trials, tol=args.tol)
-    doc = report_dict(system, check, part, rank, seed, names=names)
-    _write(render_report(doc), args.out)
-    if args.check and not check.observable:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
-
-
-def cmd_place(args):
+def cmd_report(args):
+    """The report of ``analyze`` and ``place``; ``analyze`` forbids no
+    state and lists one witness, and ``place`` has no ``--check``."""
     _check_numeric_args(args)
     seed = _seed_of(args)
     system, names = _load(args.path)
@@ -184,6 +162,8 @@ def cmd_place(args):
     doc = report_dict(system, check, part, rank, seed,
                       forbidden=forbidden, names=names)
     _write(render_report(doc), args.out)
+    if args.check and not check.observable:
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -207,8 +187,8 @@ def cmd_export_dot(args):
 
 
 _HANDLERS = {
-    "analyze": cmd_analyze,
-    "place": cmd_place,
+    "analyze": cmd_report,
+    "place": cmd_report,
     "verify": cmd_verify,
     "export-dot": cmd_export_dot,
 }
@@ -218,15 +198,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (MalformedInputError, ParameterError, PreconditionError) as exc:
+    except (MalformedInputError, ParameterError, PreconditionError, OSError) as exc:
         print(f"obspart: error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
     except (InfeasiblePlacementError, DegenerateStructureError) as exc:
         print(f"obspart: infeasible: {exc}", file=_sys.stderr)
         return EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"obspart: error: {exc}", file=_sys.stderr)
-        return EXIT_INPUT
     except UnicodeDecodeError as exc:
         print(f"obspart: error: {args.path} is not UTF-8 text: {exc}",
               file=_sys.stderr)

@@ -1,10 +1,8 @@
 """Graphviz export of the system digraph with class coloring.
 
-States are ellipses, measurements are boxes.  ``color_by`` picks which
-family paints the state fills: rank classes ("alpha"), access classes
-("beta"), or plain strongly connected components ("scc").  Colors come
-from a fixed palette in class order, so the same system always renders
-to the same bytes.
+States are ellipses, measurements are boxes.  Fills come from a fixed
+palette in class order, so the same system always renders to the same
+bytes.
 """
 
 from .errors import ParameterError
@@ -35,16 +33,13 @@ def _fills(sys, color_by):
         groups = rank_classes(sys)
     else:
         groups = equivalence_classes(sys)[1]
-    fills = {}
-    for idx, members in enumerate(groups):
-        color = PALETTE[idx % len(PALETTE)]
-        for state in members:
-            fills[state] = color
-    return fills
+    return {state: PALETTE[idx % len(PALETTE)]
+            for idx, members in enumerate(groups) for state in members}
 
 
 def export_dot(sys, color_by="alpha", names=None):
-    """DOT text for the system digraph; deterministic for fixed inputs."""
+    """DOT text for the system digraph, states filled by rank class
+    ("alpha"), access class ("beta") or strongly connected component ("scc")."""
     if color_by not in COLOR_MODES:
         raise ParameterError(
             f"color_by must be one of {', '.join(COLOR_MODES)}, got {color_by!r}"

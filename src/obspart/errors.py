@@ -25,12 +25,10 @@ class DegenerateStructureError(ObspartError):
     """The sparsity structure falls outside the partition theory's domain.
 
     Raised when the alternating searches of two unmatched seeds reach a
-    common state, i.e. some deficient component of the bipartite graph is
-    short by two or more nodes.  No class decomposition with one class per
-    missing rank exists for such inputs.  ``overlaps`` holds the sorted
-    (seed_a, seed_b) pairs of 1-based seeds, seed_a < seed_b, whose
-    searches met, at least one pair per degenerate component; the message
-    counts them and names the first three.
+    common state: some deficient component is short by two or more nodes.
+    ``overlaps`` holds the sorted (seed_a, seed_b) pairs of 1-based seeds,
+    seed_a < seed_b, whose searches met, at least one pair per degenerate
+    component; the message counts them and names the first three.
     """
 
     def __init__(self, message, overlaps=()):

@@ -1,10 +1,6 @@
-"""Random sparsity patterns for corpus tests and benchmarks.
-
-Patterns are drawn from the same family throughout: edge count tied to a
-per-state density, self-loops allowed, and sensors as dedicated rows on
-distinct states.  Everything is driven by a caller-supplied Generator so
-corpora are reproducible from a single seed.
-"""
+"""Random sparsity patterns for corpus tests, reproducible from the
+caller's Generator: arcs tied to a per-state density, self-loops allowed,
+sensors as dedicated rows on distinct states."""
 
 from .errors import DegenerateStructureError, ParameterError
 from .matching import system_contractions

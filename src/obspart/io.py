@@ -1,16 +1,9 @@
 """File formats: system descriptions in and reports out.
 
-The native format is a small JSON document with 1-based pattern entries:
-
-    {"n": 3, "p": 1, "a": [[2,1],[3,2]], "h": [[1,3]]}
-
-plus an optional "names" list (one label per state).  Unknown keys and
-duplicate entries are rejected — both usually mean the file was written
-by hand and something went wrong.  A Matrix Market coordinate-pattern
-importer covers the common interchange case for state patterns.
-
-Reports are JSON with a fixed key order and a schema version, so a given
-(input, seed, flags) triple always produces byte-identical output.
+The README's "Input formats" section describes the JSON system file and
+the Matrix Market import.  Unknown keys and duplicate entries are
+rejected: both usually mean a file was written by hand and went wrong.
+Reports are JSON with a fixed key order and a schema version.
 """
 
 import json
@@ -47,10 +40,9 @@ def system_from_dict(doc):
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise MalformedInputError(f'system file is missing key "{key}"')
-    if not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
-        raise MalformedInputError('"n" must be an integer')
-    if not isinstance(doc["p"], int) or isinstance(doc["p"], bool):
-        raise MalformedInputError('"p" must be an integer')
+    for key in ("n", "p"):
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+            raise MalformedInputError(f'"{key}" must be an integer')
     sys = StructuredSystem.from_entries(
         doc["n"], doc["p"], _entry_list(doc["a"], "a"), _entry_list(doc["h"], "h")
     )
@@ -111,11 +103,8 @@ def load_matrix_market(path):
     body = [ln.strip() for ln in lines[1:] if ln.strip() and not ln.startswith("%")]
     if not body:
         raise MalformedInputError("Matrix Market file has no size line")
-    size = body[0].split()
-    if len(size) != 3:
-        raise MalformedInputError(f"bad Matrix Market size line {body[0]!r}")
-    try:
-        rows, cols, nnz = (int(v) for v in size)
+    try:  # a wrong field count is a ValueError too
+        rows, cols, nnz = (int(v) for v in body[0].split())
     except ValueError:
         raise MalformedInputError(f"bad Matrix Market size line {body[0]!r}") from None
     if rows != cols:
@@ -138,10 +127,6 @@ def load_matrix_market(path):
     return StructuredSystem.from_entries(rows, 0, entries)
 
 
-def _complex_pairs(values):
-    return [[z.real, z.imag] for z in values]
-
-
 def _rank_dict(rank):
     """The "rank" block shared by analysis and verify reports."""
     return {
@@ -150,9 +135,8 @@ def _rank_dict(rank):
         "gramian_rank": rank.gramian_rank,
         "agreement": rank.agreement,
         "gramian_ranks": list(rank.gramian_ranks),
-        "pbh_rank_deficient_eigenvalues": _complex_pairs(
-            rank.pbh_rank_deficient_eigenvalues
-        ),
+        "pbh_rank_deficient_eigenvalues": [
+            [z.real, z.imag] for z in rank.pbh_rank_deficient_eigenvalues],
         "pbh_observable": list(rank.pbh_observable),
     }
 

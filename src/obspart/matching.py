@@ -1,13 +1,7 @@
-"""Maximum matchings, structural rank, and contraction extraction.
+"""Maximum matchings, structural rank, and the rank classes (contractions).
 
-The structural rank of [A; H] equals the size of a maximum matching on the
-bipartite companion graph.  When the matching leaves begin nodes uncovered,
-each uncovered node seeds a *contraction*: the set of states that could
-have been the uncovered one under some other maximum matching, i.e. the
-begins an alternating path reaches from it (the coarse part of the
-Dulmage-Mendelsohn decomposition).  From begin u, every end e in u's row
-leads on to the begin matched to e; one search from all seeds at once
-finds every set.
+The README's "Graph core" section says how one search along alternating
+paths of a maximum matching finds every rank class.
 """
 
 from dataclasses import dataclass
@@ -65,13 +59,12 @@ class Contraction:
 
 
 def contractions(bg):
-    """One contraction per unmatched begin node, sorted by lowest member.
+    """One contraction per unmatched begin of the graph's own matching,
+    sorted by lowest member.
 
-    Two seeds whose searches reach a common state mean some deficient
-    component is short by two or more nodes; no one-set-per-deficit
-    decomposition exists there, so that is reported as
-    DegenerateStructureError rather than guessed around.  The seeds
-    come from the graph's own cold matching, found once per graph.
+    Two seeds whose searches reach a common state leave no decomposition
+    with one set per deficit, so that raises DegenerateStructureError
+    rather than being guessed around.
     """
     match_begin, match_end = bg.matching
     # Stepping via match_end turns each end into the begin matched to it,

@@ -1,24 +1,10 @@
-"""Numeric cross-validation of structural verdicts.
+"""Numeric cross-validation of structural verdicts on random realizations.
 
-Structural claims ("this pattern is generically observable", "these two
-sensor sites are interchangeable") hold for almost every choice of matrix
-values.  This module draws concrete realizations — log-uniform magnitudes
-in [0.5, 2] with random signs, deterministic per (seed, trial) — and
-checks the claims with plain linear algebra.  Each (seed, trial) pair's
-generator state is seeded once and kept, so a repeated pair restores it
-in place of hashing the seed again, and draws the same values.  One
-orthonormal basis of the observable row space, the span of
-[H; HA; ...; HA^(n-1)], is grown per realization: only the directions
-added at the previous step are multiplied by A, so each step costs one
-small SVD, and the trials of one call grow in lockstep, sharing that
-SVD.  Its row count is the observability rank, and the restriction of A
-to its orthogonal complement carries exactly the unobservable modes, the
-eigenvalues at which the eigenvector test on [A - lambda*I; H] fails
-(compare Paige's staircase form, IEEE TAC 1981); at rank 0 that is every
-eigenvalue of A, listed without a second eigensolve.  Ranks use SVD
-thresholds relative to the norm of A, and verdicts are taken as the mode
-over several trials so a single unlucky draw near a degenerate surface
-cannot flip a result.
+Values are log-uniform magnitudes in [0.5, 2] with random signs,
+deterministic per (seed, trial).  Ranks use SVD thresholds relative to
+the norm of A, and verdicts are the mode over several trials, so that a
+single unlucky draw near a degenerate surface cannot flip a result.  The
+README's "Numeric oracle" section describes how the bases are grown.
 """
 
 import math
@@ -26,13 +12,13 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from .errors import NumericError, ParameterError
 from .matching import s_rank
 from .partition import theorem_check
+from .structure import _flat_entries
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 5
@@ -69,28 +55,22 @@ def _check_trials(trials):
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
 
 
-def _check_seed(seed):
-    if isinstance(seed, bool) or not (isinstance(seed, int) and seed >= 0):
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+def _check_nonnegative(name, value):
+    if isinstance(value, bool) or not (isinstance(value, int) and value >= 0):
+        raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def realize(sys, seed=DEFAULT_SEED, trial=0):
     """Draw values on the pattern; deterministic for a (seed, trial) pair."""
-    _check_seed(seed)
-    if isinstance(trial, bool) or not (isinstance(trial, int) and trial >= 0):
-        raise ParameterError(f"trial must be a non-negative integer, got {trial!r}")
+    _check_nonnegative("seed", seed)
+    _check_nonnegative("trial", trial)
     a, h = _realize_stack(sys, seed, (trial,))
     return NumericRealization(a=a[0], h=h[0], seed=seed, trial=trial)
 
 
 def _realize_stack(sys, seed, trials):
-    """(A, H) stacks of shape (T, n, n) and (T, p, n), one per trial.
-
-    Each trial draws from ``default_rng([seed, trial])``'s initial state
-    exactly as a lone ``realize`` would: its uniforms, then its 0/1
-    integers.  The magnitudes and signs are formed once for the whole
-    stack, and both scatters run once through the kept flat offsets.
-    """
+    """(A, H) stacks of shape (T, n, n) and (T, p, n), one per trial, each
+    drawn exactly as a lone ``realize`` of that trial would draw it."""
     a_offsets, h_offsets = sys.memo(_flat_offsets)
     count = len(a_offsets) + len(h_offsets)
     logs = np.empty((len(trials), count))
@@ -123,11 +103,9 @@ def _initial_state(seed, trial):
 
 
 def _generator():
-    """This thread's generator, built once; callers restore a kept state
-    into it before every draw, so its own seed never shows.
-
-    One per thread, because a generator shared by two threads would
-    interleave their draws between a restore and the next draw.
+    """This thread's generator, into which callers restore a kept state
+    before every draw.  One per thread, because a generator shared by two
+    threads would interleave their draws between a restore and a draw.
     """
     rng = getattr(_thread, "rng", None)
     if rng is None:
@@ -135,24 +113,14 @@ def _generator():
     return rng
 
 
-def _entries(pattern):
-    """A validated pattern's (row, column) entries as an (m, 2) int64 array."""
-    flat = np.fromiter(chain.from_iterable(pattern), np.int64, 2 * len(pattern))
-    return flat.reshape(-1, 2)
-
-
 def _flat_offsets(sys):
-    """Sorted flat offsets ``(i-1)*n + (j-1)`` of the A and the H entries.
-
-    Both matrices have n columns and j <= n, so offset order is the
-    (i, j) order of ``sorted_a()`` and ``sorted_h()``: ``_realize_stack``
-    hands out each trial's drawn values in that order.  Kept per system with ``memo``
-    as read-only int64 arrays.
-    """
+    """Sorted flat offsets ``(i-1)*n + (j-1)`` of the A and the H entries,
+    as read-only int64 arrays.  Since j <= n, they sort in the (i, j)
+    order in which the values are drawn."""
     offsets = []
     for pattern in (sys.a_pattern, sys.h_pattern):
-        ij = _entries(pattern)
-        flat = np.sort((ij[:, 0] - 1) * sys.n + ij[:, 1] - 1)
+        ij = _flat_entries(pattern)
+        flat = np.sort((ij[0::2] - 1) * sys.n + ij[1::2] - 1)
         flat.flags.writeable = False
         offsets.append(flat)
     return tuple(offsets)
@@ -168,33 +136,19 @@ def _svd_rank(matrix, tol):
 
 
 def _observable_bases(a, h, tol):
-    """Orthonormal rows spanning the row space of [H; HA; ...; HA^(n-1)],
-    grown for a whole stack of realizations in lockstep.
+    """Orthonormal rows spanning the row space of [H; HA; ...; HA^(n-1)]
+    for a stack of realizations, grown in lockstep.
 
     ``a`` is a (T, n, n) stack the caller owns: each A is scaled in place
-    by its max absolute row sum, so powers neither blow up nor decay below
-    the threshold (c*A and A scale to the same matrix, and the rows of a
-    block pick up s^k > 0, which leaves the rank alone).  ``h`` is a
-    (T, p, n) stack.  Returns a (T, n, n) buffer and the row count of
-    each trial; trial t's basis is ``basis[t, :counts[t]]``.
+    by its max absolute row sum, which leaves the rank alone.  ``h`` is a
+    (T, p, n) stack.  Returns a (T, n, n) buffer and each trial's row
+    count; trial t's basis is ``basis[t, :counts[t]]``.
 
-    H's row space is taken first, with a threshold relative to its own
-    largest singular value.  Each step then multiplies only the frontier,
-    the last rows the previous step added, by the scaled A, projects the
-    basis out of the product twice (once is not enough to reach working
-    precision), and keeps the directions of the remainder above ``tol``,
-    at most n - r of them, the largest first: the frontier rows have unit
-    length and the scaled A has unit infinity-norm, so ``tol`` is relative
-    to both.  A trial stops when a step adds nothing (its basis then spans
-    an A-invariant space) or when it holds n rows.  Nothing is multiplied
-    by A twice before it is orthonormalized, so genuine directions do not
-    decay below the threshold the way the rows of explicit powers do.
-
-    The trials that share a (rank, frontier size) go through each step
-    together: one stacked product, two stacked projections and one
-    stacked SVD.  Stacked ``matmul`` and ``svd`` run the same BLAS and
-    LAPACK routine on each matrix as a lone call, so every basis is
-    bitwise the one a trial grown alone would get.
+    The basis is projected out of each grown frontier twice, because once
+    does not reach working precision.  The frontier rows have unit length
+    and the scaled A unit infinity-norm, so ``tol`` is relative to both.
+    Stacked ``matmul`` and ``svd`` run the same routine on each matrix as
+    a lone call, so every basis is bitwise the one of a trial grown alone.
     """
     trials, n = a.shape[0], a.shape[1]
     scale = np.abs(a).sum(axis=2).max(axis=1)
@@ -232,12 +186,10 @@ def _observable_bases(a, h, tol):
 
 def _trial_ranks(sys, seed, trials, tol):
     """Observability rank of each of trials 0..trials-1, with trial 0's
-    realization and basis.
-
-    Trials are realized and grown ``_TRIAL_BLOCK`` at a time, so memory
-    stays O(block * n^2) however many trials there are.
-    """
-    _check_seed(seed)
+    realization and basis."""
+    _check_trials(trials)
+    _check_tol(tol)
+    _check_nonnegative("seed", seed)
     ranks = []
     for start in range(0, trials, _TRIAL_BLOCK):
         a, h = _realize_stack(sys, seed, range(start, min(start + _TRIAL_BLOCK, trials)))
@@ -252,19 +204,13 @@ def _trial_ranks(sys, seed, trials, tol):
 
 def _single_basis(r, tol):
     """The observable basis of one realization, which is left unwritten."""
+    _check_tol(tol)
     basis, counts = _observable_bases(np.array(r.a, dtype=float)[None], r.h[None], tol)
     return basis[0, :counts[0]]
 
 
 def gramian_rank(r, tol=DEFAULT_TOL):
-    """Rank of the stacked observability matrix of one realization.
-
-    It is the row count of the orthonormal basis ``_observable_bases``
-    grows one frontier at a time; the powers of A are never formed, and
-    each step costs one SVD of at most p rows, so the whole rank is
-    O(n^3).
-    """
-    _check_tol(tol)
+    """Rank of the stacked observability matrix of one realization."""
     return _single_basis(r, tol).shape[0]
 
 
@@ -277,8 +223,6 @@ def _modal(ranks):
 
 def modal_gramian_rank(sys, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
     """(modal rank, agreement fraction) over ``trials`` realizations."""
-    _check_trials(trials)
-    _check_tol(tol)
     return _modal(_trial_ranks(sys, seed, trials, tol)[0])
 
 
@@ -295,25 +239,16 @@ def _unobservable_modes(r, basis, tol):
     """Eigenvalues of A, as ``np.linalg.eigvals`` lists them, at which PBH
     fails, given an orthonormal basis of the observable row space.
 
-    The orthogonal complement W of the basis is A-invariant and H vanishes
-    on it, so in the basis [basis; W^T] the pencil [A - lambda*I; H] has
-    the column block [0; B - lambda*I; 0], with B = W^T A W of size
-    (n-r) x (n-r).  An eigenvalue of A fails when the smallest singular
-    value of B - lambda*I is at most ``tol`` times the largest of [A; H]:
-    the threshold scales with the system, not with the block, whose norm
-    can be arbitrarily small.
-
-    That singular value is at most the distance from lambda to the
-    nearest eigenvalue of B, so eigenvalues within the threshold of one
-    fail without an SVD.  Those farther than sqrt(tol) times the norm are
-    taken to pass, also without one: a defective pair of modes splits by
-    about that much under perturbations at the threshold.  Only the few
-    in between cost an SVD of B - lambda*I, which keeps the whole test
-    O(n^3).  The norm of [A; H] costs an SVD too, so it is computed only
-    when its Frobenius bounds leave some eigenvalue undecided.  Each
-    eigenvalue of B also claims its nearest eigenvalue of A, so the list
-    is nonempty exactly when r < n, even where the eigensolver splits a
-    defective cluster further than the test reaches.
+    An eigenvalue fails when the smallest singular value of B - lambda*I,
+    B = W^T A W on the basis's orthogonal complement W, is at most ``tol``
+    times the largest of [A; H]: the threshold scales with the system, not
+    with B, whose norm can be arbitrarily small.  That singular value is at
+    most the distance to B's nearest eigenvalue, so eigenvalues within the
+    threshold of one fail without an SVD; those farther than sqrt(tol)
+    times the norm pass without one, since a defective pair of modes splits
+    by about that much under perturbations at the threshold.  Each
+    eigenvalue of B also claims its nearest eigenvalue of A, so the list is
+    nonempty exactly when r < n.
     """
     a = r.a
     n, rank = a.shape[0], basis.shape[0]
@@ -353,13 +288,7 @@ def pbh_check(r, tol=DEFAULT_TOL):
 
     The eigenvalues are reported exactly as ``np.linalg.eigvals`` returns
     them for the raw A, sorted by (real, imag), one entry per listed copy.
-    Which of them fail is decided on the restriction of A to the
-    orthogonal complement of the observable row space (see
-    ``_unobservable_modes``), which costs one eigensolve of an
-    (n-r) x (n-r) block in place of an SVD of the (n+p) x n pencil per
-    eigenvalue.
     """
-    _check_tol(tol)
     return _unobservable_modes(r, _single_basis(r, tol), tol)
 
 
@@ -380,14 +309,10 @@ class RankReport:
 def rank_report(sys, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
     """Per-trial ranks, their modal vote, and the PBH side of the oracle.
 
-    One observable basis per trial, grown for all trials in lockstep,
-    serves both the rank and the PBH test.  ``pbh_check`` lists an
-    eigenvalue exactly when the rank falls short of n, so each trial's
-    PBH verdict is read off its rank, and the eigensolves run for trial 0
-    only, whose deficient eigenvalues are reported.
+    ``pbh_check`` lists an eigenvalue exactly when the rank falls short of
+    n, so each trial's PBH verdict is read off its rank; the deficient
+    eigenvalues reported are trial 0's.
     """
-    _check_trials(trials)
-    _check_tol(tol)
     ranks, first, first_basis = _trial_ranks(sys, seed, trials, tol)
     modal, agreement = _modal(ranks)
     return RankReport(
@@ -416,7 +341,7 @@ def verify_alpha_equivalence(sys, u, v, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     the structural rank of the bare state pattern by exactly one, then
     confirms the three ranks on a numeric realization.
     """
-    _check_seed(seed)
+    _check_nonnegative("seed", seed)
     _check_tol(tol)
     bare = sys.without_measurements()
     base = s_rank(bare)
@@ -451,11 +376,9 @@ def verify_beta_equivalence(
     h_alpha = list(h_alpha)
     base_sys = sys.without_measurements().with_sensor_rows(h_alpha)
     base_rank, _ = modal_gramian_rank(base_sys, seed, trials, tol)
-    rank_u, _ = modal_gramian_rank(base_sys.with_sensor_rows([u]), seed, trials, tol)
-    rank_v, _ = modal_gramian_rank(base_sys.with_sensor_rows([v]), seed, trials, tol)
-    rank_uv, _ = modal_gramian_rank(
-        base_sys.with_sensor_rows([u, v]), seed, trials, tol
-    )
+    rank_u, rank_v, rank_uv = (
+        modal_gramian_rank(base_sys.with_sensor_rows(extra), seed, trials, tol)[0]
+        for extra in ([u], [v], [u, v]))
     if not (rank_u == rank_v == rank_uv):
         return False
     if h_alpha:
@@ -466,8 +389,6 @@ def verify_beta_equivalence(
 def generic_agreement(sys, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Fraction of realizations whose full-rank verdict matches the
     structural test."""
-    _check_trials(trials)
-    _check_tol(tol)
-    structural = theorem_check(sys).observable
     ranks, _, _ = _trial_ranks(sys, seed, trials, tol)
+    structural = theorem_check(sys).observable
     return sum((rank == sys.n) == structural for rank in ranks) / trials

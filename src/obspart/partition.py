@@ -1,22 +1,7 @@
-"""Measurement classification, equivalence classes, and sensor placement.
+"""Measurement classification, equivalence classes and sensor placement.
 
-Candidate sensor sites fall into two families of classes, both computed
-from the state pattern alone:
-
-* rank classes — member sets of the bipartite contractions; a sensor on
-  any member repairs the same unit of structural-rank deficit;
-* access classes — matched parent components; a sensor on any member
-  makes the whole component (and everything upstream of it) accessible.
-
-A minimal placement hits every class once, sharing a state between a
-rank class and an access class whenever their intersection allows it.
-Classes within one family are disjoint, so the sharing opportunities
-form a bipartite graph and the optimum is a maximum matching on it.
-
-Existing measurement rows are labeled against the same classes: the
-designated cover of a rank class is "alpha", of an access class "beta",
-and anything left over is "gamma" (removable without losing generic
-observability).
+The README's "Classes and placement" section describes the two class
+families, the placement that hits each class once, and the row labels.
 """
 
 from dataclasses import dataclass
@@ -32,7 +17,7 @@ from .errors import (
 )
 from .matching import s_rank, system_contractions
 from .scc import accessibility_check, decompose
-from .structure import build_digraph
+from .structure import _check_index, build_digraph
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -85,17 +70,14 @@ def theorem_check(sys):
 
 
 def equivalence_classes(sys):
-    """(rank classes, access classes) of the state pattern.
+    """(rank classes, access classes) of the state pattern, kept by its
+    bare system: the classes describe candidate sensor sites, whatever
+    rows are already there.
 
-    Measurement rows are deliberately ignored: the classes describe
-    candidate sensor sites, whether or not a sensor is already present.
-    Access classes list every matched parent component; an unmatched
-    parent yields none, because it necessarily contains a full rank
-    class and the sensor that class demands already sits inside it.
-
-    Each family is worked out once per bare system, which every system
-    derived from ``sys`` shares.  The rank classes come first, so a
-    system without them raises before any access class is computed.
+    An unmatched parent component yields no access class, because it
+    contains a full rank class, whose sensor already sits inside it.  The
+    rank classes come first, so a system without them raises before any
+    access class is computed.
     """
     alpha = rank_classes(sys)
     return alpha, sys.without_measurements().memo(_access_classes)
@@ -171,21 +153,10 @@ def _overlap_rows(alpha, beta):
     )
 
 
-def _overlap_matching(alpha, beta):
-    return hopcroft_karp(_overlap_rows(alpha, beta), len(beta))
-
-
 def _witness(alpha, beta, match_begin, match_end):
-    picks = []
-    for i, a_cls in enumerate(alpha):
-        j = match_begin[i]
-        if j >= 0:
-            picks.append(min(set(a_cls) & set(beta[j])))
-        else:
-            picks.append(a_cls[0])
-    for j, b_cls in enumerate(beta):
-        if match_end[j] < 0:
-            picks.append(b_cls[0])
+    picks = [min(set(a_cls) & set(beta[j])) if j >= 0 else a_cls[0]
+             for a_cls, j in zip(alpha, match_begin)]
+    picks += [b_cls[0] for b_cls, i in zip(beta, match_end) if i < 0]
     witness = tuple(sorted(picks))
     if len(witness) != len(picks):
         raise InconsistencyError(
@@ -204,12 +175,8 @@ def _all_witnesses(alpha, beta, count):
             f"candidate states, got {len(candidates)}"
         )
     classes = list(alpha) + list(beta)
-    found = []
-    for combo in combinations(candidates, count):
-        chosen = set(combo)
-        if all(chosen.intersection(cls) for cls in classes):
-            found.append(combo)
-    return tuple(found)
+    return tuple(combo for combo in combinations(candidates, count)
+                 if all(set(combo).intersection(cls) for cls in classes))
 
 
 def minimal_placement(alpha_classes, beta_classes, *, sys=None, all_witnesses=False):
@@ -222,7 +189,7 @@ def minimal_placement(alpha_classes, beta_classes, *, sys=None, all_witnesses=Fa
     """
     alpha = _normalize_classes(alpha_classes, "alpha")
     beta = _normalize_classes(beta_classes, "beta")
-    match_begin, match_end = _overlap_matching(alpha, beta)
+    match_begin, match_end = hopcroft_karp(_overlap_rows(alpha, beta), len(beta))
     overlap = len(alpha) - match_begin.count(-1)
     count = len(alpha) + len(beta) - overlap
 
@@ -251,8 +218,7 @@ def classify_measurements(sys):
     classes, lowest row index first — so exactly one row is designated
     per class it is the first to reach; the rest are gamma.
     """
-    row_states = _row_states(sys)
-    return _label_rows(row_states, *equivalence_classes(sys))
+    return _label_rows(_row_states(sys), *equivalence_classes(sys))
 
 
 def _row_states(sys):
@@ -307,6 +273,9 @@ def is_necessary(sys, row):
 
 def partition_report(sys, forbid=(), all_witnesses=False):
     """Full structural report: classes, row labels, minimal placements."""
+    forbid = tuple(forbid)
+    for state in forbid:
+        _check_index("forbidden state", state, "n", sys.n)
     classes = equivalence_classes(sys)
     alpha, beta = forbid_states(*classes, forbid) if forbid else classes
     sets, count = minimal_placement(alpha, beta, sys=sys, all_witnesses=all_witnesses)

@@ -1,19 +1,7 @@
 """Strongly connected components, sink detection, and accessibility.
 
-Components are computed over state nodes only; measurement nodes never
-join a component.  A component is a *parent* when none of its states has
-an arc into a different component — arcs into measurement nodes do not
-count against parenthood.  A component is *matched* when its internal
-bipartite restriction admits a perfect matching (equivalently, a family
-of disjoint cycles covers all of its states; a singleton qualifies only
-through a self-loop).
-
-Measurement ends leave every component and flag alone, so both
-``decompose`` and ``accessibility_check`` work on the bare graph's state
-rows.  ``decompose`` cuts each row to its own component in one pass: a
-component that loses an arc is no parent, and the cut rows carry the
-internal matching.  Accessibility searches the bare graph's kept
-reverse, the state arcs reversed, from the measured states.
+Components hold states only.  The README's "Graph core" section defines
+parent and matched components and says which rows each check reads.
 """
 
 from dataclasses import dataclass, field
@@ -35,10 +23,8 @@ class SccDecomposition:
 
     @cached_property
     def order(self):
-        """Condensation DAG as sorted (src_comp, dst_comp) index pairs.
-
-        Built on first read: no report needs it.
-        """
+        """Condensation DAG as sorted (src_comp, dst_comp) index pairs,
+        built on first read: no report needs it."""
         comp = self.comp
         return tuple(sorted({(comp[u], comp[v]) for u, row in enumerate(self.rows)
                              for v in row if comp[u] != comp[v]}))

@@ -1,28 +1,8 @@
-"""Sparsity patterns and the graph derived from them.
+"""Sparsity patterns and the one integer graph built from them.
 
-A system is described purely by which entries of the state matrix A (n x n)
-and the measurement matrix H (p x n) may be nonzero.  Entries are 1-based
-(row, column) pairs, matching the on-disk format.  Every structural layer
-reads one integer graph per system, built on first use and cached:
-
-* each A entry (i, j) becomes the pair (j, i), since state j drives state i;
-* each H entry (i, j) becomes the pair (j, n + i), state j feeding
-  measurement i.
-
-Pairs are (state, end) with ends in one range 1..n+p: values up to n are
-states, the rest measurements.  Read as arcs, the pairs are the system
-digraph; read as (begin, end) pairs, they are its bipartite companion,
-whose maximum matchings compute structural ranks.  The graph keeps them
-0-based as rows, one tuple of ascending ends per state.
-
-Systems derived from one another by adding or dropping measurement rows
-share one bare system.  Its graph is the only one built from the A
-pattern.  The others copy its rows and replace only those of measured
-states, each by the bare row followed by the state's measurement ends,
-so every unmeasured row is the bare graph's own tuple.  The bare graph
-finds one maximum matching, from which the matchings of the graphs that
-only add ends to it start, and keeps the reversed state arcs that every
-accessibility check searches.
+A system is described purely by which entries of A (n x n) and H (p x n)
+may be nonzero, as 1-based (row, column) pairs.  The README's "Graph
+core" section describes the ``SystemGraph`` every structural layer reads.
 """
 
 from dataclasses import dataclass, field
@@ -167,19 +147,14 @@ class StructuredSystem:
     def without_row(self, row):
         """Drop measurement row ``row`` (1-based) and renumber the rest."""
         _check_index("row", row, "p", self.p)
-        kept = []
-        for (i, j) in self.h_pattern:
-            if i == row:
-                continue
-            kept.append((i - 1, j) if i > row else (i, j))
-        return self._derived(self.p - 1, frozenset(kept))
+        kept = frozenset((i - 1 if i > row else i, j)
+                         for (i, j) in self.h_pattern if i != row)
+        return self._derived(self.p - 1, kept)
 
     def without_measurements(self):
         """The bare state pattern: every measurement row dropped.
 
-        Built once per system and handed on to every system derived from
-        it, so they all share the bare graph, its matching and whatever
-        is kept there with ``memo``.
+        Built once and shared by every system derived from this one.
         """
         return self if self.p == 0 else self._bare
 
@@ -188,13 +163,10 @@ class StructuredSystem:
         return _unchecked(self.n, 0, self.a_pattern, frozenset())
 
     def _derived(self, p, h_pattern):
-        """This system's A pattern with new measurement rows.
-
-        A was validated when this system was built and the callers check
-        every row they add, so ``__post_init__`` is not run again.  The
-        result shares this system's bare system, and is that bare system
-        when no row is left.
-        """
+        """This system's A pattern with new measurement rows, sharing its
+        bare system (or that bare system itself when no row is left).  A
+        was validated when this system was built and the callers check
+        every row they add, so ``__post_init__`` is not run again."""
         bare = self.without_measurements()
         if p == 0:
             return bare
@@ -205,9 +177,7 @@ class StructuredSystem:
     def memo(self, compute):
         """``compute(self)``, worked out once per system and kept with it.
 
-        For results of the pattern alone that the layers above compute,
-        such as the classes of the bare system.  Nothing is kept when
-        ``compute`` raises, so every call raises again.
+        Nothing is kept when ``compute`` raises, so every call raises again.
         """
         memo = self.__dict__.setdefault("_memo", {})
         if compute not in memo:
@@ -216,15 +186,11 @@ class StructuredSystem:
 
     @cached_property
     def graph(self):
-        """The system's SystemGraph, built on first use.
-
-        Only the bare system reads the A pattern; a system with rows
-        extends its bare graph's rows with its own measurement ends.
-        """
+        """The system's SystemGraph, built on first use; a system with rows
+        extends its bare graph's rows with its own measurement ends."""
         n = self.n
         if self.p == 0:
-            flat = np.fromiter(chain.from_iterable(self.a_pattern), np.int64,
-                               2 * len(self.a_pattern))
+            flat = _flat_entries(self.a_pattern)
             # Entry (i, j) is the pair (j - 1, i - 1), keyed (j - 1) * n + i - 1.
             return SystemGraph(n=n, p=0, rows=_rows(
                 n, flat[1::2] * n + flat[0::2] - (n + 1)))
@@ -239,12 +205,15 @@ class StructuredSystem:
         return SystemGraph(n=n, p=self.p, rows=tuple(rows), base=bare)
 
 
-def _as_tuples(entries):
-    """``entries`` as a list of tuples, for ``from_entries``.
+def _flat_entries(pattern):
+    """A validated pattern's entries as one flat int64 array i, j, i, j, ..."""
+    return np.fromiter(chain.from_iterable(pattern), np.int64, 2 * len(pattern))
 
-    An entry that is not iterable is kept as it is, and so is a pattern
-    that is not iterable, so that the constructor names it.
-    """
+
+def _as_tuples(entries):
+    """``entries`` as a list of tuples, for ``from_entries``; an entry or
+    a pattern that is not iterable is kept as it is, for the constructor
+    to name."""
     try:
         entries = list(entries)
     except TypeError:
@@ -265,10 +234,8 @@ def _as_tuple(entry):
 def _rows(n, keys):
     """Rows of n states from an int64 array of keys ``state * n + end``.
 
-    Every end is a state.  One numpy sort orders the pairs: on the
-    smallest patterns it costs a few microseconds more than sorting
-    Python ints, but at 10^5 states, where the keys outgrow a one-digit
-    Python int, the build takes well under half the time.
+    Every end is a state.  One numpy sort orders the pairs: at 10^5
+    states it takes well under half the time of sorting Python ints.
     """
     keys = np.sort(keys)
     bounds = np.searchsorted(keys, np.arange(0, n * n + 1, n)).tolist()
@@ -291,19 +258,14 @@ class SystemGraph:
 
     ``rows[u]`` is a tuple of state u's 0-based ends, ascending: its state
     ends, then its measurement ends n..n+p-1.  ``base`` is the bare graph
-    whose rows these extend, None for a bare graph.  Only tuples are
-    kept, the rows and, once asked for, the ``matching`` and the
-    ``reverse`` rows, because a graph lives as long as its system.
+    whose rows these extend, None for a bare graph.  Only tuples are kept,
+    because a graph lives as long as its system.
     """
 
     n: int
     p: int
     rows: tuple
     base: "SystemGraph | None" = field(default=None, repr=False)
-
-    @property
-    def n_begin(self):
-        return self.n
 
     @property
     def n_end(self):
@@ -322,23 +284,14 @@ class SystemGraph:
 
     @cached_property
     def matching(self):
-        """(match_begin, match_end) of a maximum matching, found once.
-
-        Hopcroft-Karp from the empty matching, so its tie-breaks are the
-        kernel's own.  A bare system's matching seeds the contractions,
-        and the matchings of the graphs that extend it start from it.
-        Both are tuples, like the rows.
-        """
+        """(match_begin, match_end) tuples of a maximum matching, found
+        once from the empty matching, so its tie-breaks are the kernel's."""
         return hopcroft_karp(self.rows, self.n_end)
 
     @cached_property
     def reverse(self):
         """The state arcs reversed: ``reverse[v]`` lists, ascending, the
-        states with an arc into state v.
-
-        Built once per bare graph; every graph that extends it reads the
-        bare graph's.
-        """
+        states with an arc into state v.  Kept by the bare graph only."""
         if self.base is not None:
             return self.base.reverse
         n, rows = self.n, self.rows
@@ -351,12 +304,3 @@ def build_digraph(sys):
     """The system's graph: one pair per pattern entry, built once."""
     return sys.graph
 
-
-def build_bipartite(g):
-    """The bipartite companion of ``g``, which is ``g`` itself.
-
-    One SystemGraph serves as both the digraph and its companion.  The
-    function stays because the acceptance tests still compose
-    ``build_bipartite(build_digraph(sys))``.
-    """
-    return g

@@ -16,7 +16,6 @@ import pytest
 from obspart import (
     NumericRealization,
     accessibility_check,
-    build_bipartite,
     build_digraph,
     equivalence_classes,
     forbid_states,
@@ -182,8 +181,8 @@ def test_criterion_5_one_unmatched_member_per_matching(partition_corpus):
     small = [sys for sys in partition_corpus if sys.n <= 8]
     assert len(small) >= 50
     for sys in small:
-        bg = build_bipartite(build_digraph(sys))
-        unmatched_sets = possible_unmatched_sets(bg.n_begin, bg.edges)
+        bg = build_digraph(sys)
+        unmatched_sets = possible_unmatched_sets(bg.n, bg.edges)
         cons = system_contractions(sys)
         member_union = set()
         for c in cons:

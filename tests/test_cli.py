@@ -456,3 +456,9 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 0, 0] []"
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in obspart.__all__ if not hasattr(obspart, name)]
+        assert missing == []

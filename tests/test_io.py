@@ -133,6 +133,16 @@ class TestMatrixMarket:
         with pytest.raises(MalformedInputError, match="promises 2 entries"):
             load_matrix_market(path)
 
+    @pytest.mark.parametrize("size", ["3 3", "3 3 2 1", "3 x 2"])
+    def test_bad_size_line(self, tmp_path, size):
+        path = tmp_path / "size.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate pattern general\n{size}\n2 1\n3 2\n"
+        )
+        with pytest.raises(MalformedInputError) as exc:
+            load_matrix_market(path)
+        assert str(exc.value) == f"bad Matrix Market size line {size!r}"
+
 
 class TestReports:
     def _docs(self, sys):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from obspart import (
     DegenerateStructureError,
     StructuredSystem,
-    build_bipartite,
     build_digraph,
     contractions,
     maximum_matching,
@@ -17,29 +16,25 @@ from oracles import all_maximum_matchings, possible_unmatched_sets, rank_class_s
 from strategies import systems
 
 
-def bipartite_of(sys):
-    return build_bipartite(build_digraph(sys))
-
-
 class TestMaximumMatching:
     def test_chain(self):
-        m = maximum_matching(bipartite_of(S(3, 0, [(2, 1), (3, 2)])))
+        m = maximum_matching(build_digraph(S(3, 0, [(2, 1), (3, 2)])))
         assert m.size == 2
         assert m.unmatched_begin == (3,)
 
     def test_cycle(self, cycle3):
-        m = maximum_matching(bipartite_of(cycle3))
+        m = maximum_matching(build_digraph(cycle3))
         assert m.size == 3
         assert m.unmatched_begin == ()
 
     def test_fan(self, fan3):
-        m = maximum_matching(bipartite_of(fan3))
+        m = maximum_matching(build_digraph(fan3))
         assert m.size == 1
         assert len(m.unmatched_begin) == 2
 
     def test_no_shared_endpoints(self):
-        m = maximum_matching(bipartite_of(S(4, 2, [(1, 2), (3, 2), (4, 4)],
-                                            [(1, 2), (2, 3)])))
+        m = maximum_matching(build_digraph(S(4, 2, [(1, 2), (3, 2), (4, 4)],
+                                             [(1, 2), (2, 3)])))
         begins = [b for b, _ in m.edges]
         ends = [e for _, e in m.edges]
         assert len(set(begins)) == len(begins)
@@ -47,10 +42,10 @@ class TestMaximumMatching:
 
     @given(systems(n_max=6))
     def test_size_is_maximum(self, sys):
-        bg = bipartite_of(sys)
+        bg = build_digraph(sys)
         m = maximum_matching(bg)
         if bg.edges:
-            best = max(len(x) for x in all_maximum_matchings(bg.n_begin, bg.edges))
+            best = max(len(x) for x in all_maximum_matchings(bg.n, bg.edges))
         else:
             best = 0
         assert m.size == best
@@ -129,8 +124,8 @@ class TestContractions:
 
     @given(systems(n_max=6, allow_h=False))
     def test_matches_brute_force_classes(self, sys):
-        bg = bipartite_of(sys)
-        expected = rank_class_sets(bg.n_begin, bg.edges)
+        bg = build_digraph(sys)
+        expected = rank_class_sets(bg.n, bg.edges)
         if expected is None:
             with pytest.raises(DegenerateStructureError):
                 system_contractions(sys)
@@ -138,8 +133,8 @@ class TestContractions:
             assert [c.members for c in system_contractions(sys)] == expected
 
     def test_members_union_is_possible_unmatched(self, fix15):
-        bg = bipartite_of(fix15)
-        expected = possible_unmatched_sets(bg.n_begin, bg.edges)
+        bg = build_digraph(fix15)
+        expected = possible_unmatched_sets(bg.n, bg.edges)
         union = set().union(*expected)
         cons = system_contractions(fix15)
         assert set().union(*(set(c.members) for c in cons)) == union
@@ -164,12 +159,12 @@ class TestContractions:
     def test_lemma_one_per_matching(self, sys):
         """Each maximum matching misses exactly one member per contraction,
         and members are exactly the nodes missable that way."""
-        bg = bipartite_of(sys)
+        bg = build_digraph(sys)
         try:
             cons = system_contractions(sys)
         except DegenerateStructureError:
             return
-        unmatched_sets = possible_unmatched_sets(bg.n_begin, bg.edges)
+        unmatched_sets = possible_unmatched_sets(bg.n, bg.edges)
         for c in cons:
             members = set(c.members)
             hits = set()

@@ -320,6 +320,18 @@ class TestPartitionReport:
         assert report.sensor_count == 4
         assert report.minimal_sets == ((4, 9, 10, 11),)
 
+    @pytest.mark.parametrize("forbid, message", [
+        ({True}, "forbidden state True is not an integer"),
+        ({2.0}, "forbidden state 2.0 is not an integer"),
+        ({99}, "forbidden state 99 out of range for n=15"),
+        ({0}, "forbidden state 0 out of range for n=15"),
+        ({-1}, "forbidden state -1 out of range for n=15"),
+    ], ids=["bool", "float", "above n", "zero", "negative"])
+    def test_bad_forbidden_state_rejected(self, fix15, forbid, message):
+        with pytest.raises(MalformedInputError) as exc:
+            partition_report(fix15, forbid=forbid)
+        assert str(exc.value) == message
+
 
 def fix15_sensed():
     """A fresh copy of the fixture with rows on its witness (4, 9, 12)."""

@@ -12,7 +12,6 @@ from obspart import (
     MalformedInputError,
     StructuredSystem,
     accessibility_check,
-    build_bipartite,
     build_digraph,
 )
 from obspart.io import system_from_dict, system_to_dict
@@ -283,20 +282,20 @@ class TestCsr:
 
 class TestBipartite:
     def test_self_loop_pair(self):
-        bg = build_bipartite(build_digraph(S(1, 0, [(1, 1)])))
+        bg = build_digraph(S(1, 0, [(1, 1)]))
         assert bg.edges == ((1, 1),)
 
     def test_chain_pairs(self):
-        bg = build_bipartite(build_digraph(S(3, 0, [(2, 1), (3, 2)])))
+        bg = build_digraph(S(3, 0, [(2, 1), (3, 2)]))
         assert bg.edges == ((1, 2), (2, 3))
 
     def test_empty_patterns(self):
-        bg = build_bipartite(build_digraph(S(2, 0, [])))
+        bg = build_digraph(S(2, 0, []))
         assert bg.edges == ()
-        assert bg.n_begin == 2 and bg.n_end == 2
+        assert bg.n == 2 and bg.n_end == 2
 
     def test_measurement_ends_offset(self):
-        bg = build_bipartite(build_digraph(S(2, 1, [], [(1, 2)])))
+        bg = build_digraph(S(2, 1, [], [(1, 2)]))
         assert bg.edges == ((2, 3),)  # end 3 = n + 1 = y1
         assert bg.n_end == 3
 
