@@ -53,23 +53,24 @@ def export_dot(sys, color_by="alpha", names=None):
                     f"name of state {state} must be a string, got {name!r}")
     fills = _fills(sys, color_by)
 
+    n = sys.n
+    quoted = ([f'"x{i}"' for i in range(1, n + 1)]
+              + [f'"y{k}"' for k in range(1, sys.p + 1)])
     lines = ["digraph system {"]
     lines.append("  rankdir=LR;")
     lines.append('  node [style=filled, fillcolor=white];')
-    for i in range(1, sys.n + 1):
+    for i, node in enumerate(quoted[:n], start=1):
         attrs = [f'fillcolor={fills[i]}'] if i in fills else []
         if names is not None:
             label = names[i - 1].replace("\\", "\\\\").replace('"', '\\"')
             attrs.append(f'label="{label}"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "x{i}"{suffix};')
-    for i in range(1, sys.p + 1):
-        lines.append(f'  "y{i}" [shape=box];')
+        lines.append(f'  {node} [{", ".join(attrs)}];' if attrs else f'  {node};')
+    lines.extend(f'  {node} [shape=box];' for node in quoted[n:])
     # Sorting the lines sorts the arcs by (source, target) label: each
     # label ends in a quote, which sorts before any label character.
     lines.extend(sorted(
-        f'  "x{b}" -> "x{e + 1}";' if e < sys.n else f'  "x{b}" -> "y{e - sys.n + 1}";'
-        for b, row in enumerate(build_digraph(sys).rows, start=1) for e in row
+        f'  {quoted[b]} -> {quoted[e]};'
+        for b, row in enumerate(build_digraph(sys).rows) for e in row
     ))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -9,7 +9,7 @@ Reports are JSON with a fixed key order and a schema version.
 import json
 
 from .errors import MalformedInputError
-from .structure import StructuredSystem
+from .structure import MAX_STATES, StructuredSystem, _plain_pairs, _unchecked
 
 SCHEMA_VERSION = "obspart/1"
 
@@ -30,6 +30,28 @@ def _entry_list(raw, key):
     return entries
 
 
+def _plain_system(n, p, a, h):
+    """The system of plain ``"a"`` and ``"h"`` lists of [row, column] int
+    pairs, in range and without repeats, checked in one pass each; None
+    for any other input, which ``from_entries`` then names as before.
+    Every H key (i - 1) * n + j - 1 fits in int64 too, since p is bounded
+    like n."""
+    if not (1 <= n <= MAX_STATES and 0 <= p <= MAX_STATES
+            and type(a) is list and type(h) is list):
+        return None
+    entries, patterns = [], []
+    for raw, n_rows in ((a, n), (h, p)):
+        flat = _plain_pairs(raw, list, n_rows, n)
+        if flat is None:
+            return None
+        pattern = frozenset(map(tuple, raw))
+        if len(pattern) != len(raw):  # a repeated entry
+            return None
+        entries.append(flat)
+        patterns.append(pattern)
+    return _unchecked(n, p, *patterns, entries=entries)
+
+
 def system_from_dict(doc):
     """Validate a parsed SystemFile document; returns (system, names)."""
     if not isinstance(doc, dict):
@@ -43,9 +65,11 @@ def system_from_dict(doc):
     for key in ("n", "p"):
         if not isinstance(doc[key], int) or isinstance(doc[key], bool):
             raise MalformedInputError(f'"{key}" must be an integer')
-    sys = StructuredSystem.from_entries(
-        doc["n"], doc["p"], _entry_list(doc["a"], "a"), _entry_list(doc["h"], "h")
-    )
+    sys = _plain_system(doc["n"], doc["p"], doc["a"], doc["h"])
+    if sys is None:
+        sys = StructuredSystem.from_entries(
+            doc["n"], doc["p"], _entry_list(doc["a"], "a"), _entry_list(doc["h"], "h")
+        )
     names = None
     if "names" in doc:
         names = doc["names"]

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NumericError, ParameterError
 from .matching import s_rank
 from .partition import theorem_check
-from .structure import _flat_entries
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 5
@@ -71,7 +70,7 @@ def realize(sys, seed=DEFAULT_SEED, trial=0):
 def _realize_stack(sys, seed, trials):
     """(A, H) stacks of shape (T, n, n) and (T, p, n), one per trial, each
     drawn exactly as a lone ``realize`` of that trial would draw it."""
-    a_offsets, h_offsets = sys.memo(_flat_offsets)
+    a_offsets, h_offsets = _flat_offsets(sys)
     count = len(a_offsets) + len(h_offsets)
     logs = np.empty((len(trials), count))
     bits = np.empty((len(trials), count), dtype=np.int64)
@@ -115,15 +114,9 @@ def _generator():
 
 def _flat_offsets(sys):
     """Sorted flat offsets ``(i-1)*n + (j-1)`` of the A and the H entries,
-    as read-only int64 arrays.  Since j <= n, they sort in the (i, j)
-    order in which the values are drawn."""
-    offsets = []
-    for pattern in (sys.a_pattern, sys.h_pattern):
-        ij = _flat_entries(pattern)
-        flat = np.sort((ij[0::2] - 1) * sys.n + ij[1::2] - 1)
-        flat.flags.writeable = False
-        offsets.append(flat)
-    return tuple(offsets)
+    as read-only int64 arrays: the system's kept keys.  They sort in the
+    (i, j) order in which the values are drawn."""
+    return sys._a_keys, sys._h_keys
 
 
 def _svd_rank(matrix, tol):

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .matching import s_rank, system_contractions
 from .scc import accessibility_check, decompose
-from .structure import _check_index, build_digraph
+from .structure import _check_index, _check_int, build_digraph
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -126,7 +126,15 @@ def _normalize_classes(classes, family):
 
 
 def forbid_states(alpha_classes, beta_classes, forbidden):
-    """Drop forbidden states from every class, for what-if placement."""
+    """Drop forbidden states from every class, for what-if placement.
+
+    A bool or a non-int state raises ``MalformedInputError``.  Only the
+    type is checked: the range check needs n, which ``partition_report``
+    has and checks.
+    """
+    forbidden = tuple(forbidden)
+    for state in forbidden:
+        _check_int("forbidden state", state)
     forbidden = set(forbidden)
 
     def reduce(classes, family):

@@ -15,9 +15,17 @@ from ._kernels import hopcroft_karp
 from .errors import MalformedInputError
 
 
+# Keys (i - 1) * n + j - 1 of every pair must fit in int64: n * n + n < 2**63.
+MAX_STATES = 3_037_000_499
+
+
 def _check_pattern(name, pattern, n_rows, n_cols):
-    if _plain_in_range(pattern, n_rows, n_cols):
-        return
+    """Raise on the first bad entry.  Returns the entries' flat int64
+    array when they pass the fast check, None when they needed the
+    entry-by-entry one."""
+    flat = _plain_pairs(pattern, tuple, n_rows, n_cols)
+    if flat is not None:
+        return flat
     # An entry is bad or of a subclass: check entry by entry, so that the
     # first bad entry is the one named.
     for entry in pattern:
@@ -37,30 +45,40 @@ def _check_pattern(name, pattern, n_rows, n_cols):
             )
 
 
-def _plain_in_range(pattern, n_rows, n_cols):
-    """True when every entry is a tuple of two ints inside the bounds.
+def _plain_pairs(pattern, kind, n_rows, n_cols):
+    """The entries as one flat int64 array i, j, i, j, ... when every
+    entry is a ``kind`` of two ints inside the bounds; None otherwise.
 
-    Only exact ``tuple`` and ``int`` pass, so a bool, a numpy integer or
+    Only exact ``kind`` and ``int`` pass, so a bool, a numpy integer or
     any subclass fails here and is left to the entry-by-entry check.
-    Every pass runs in C, one per property, with no numpy call, which
-    would cost more than it saves on small patterns.
+    The type and length tests run in C, one pass per property, and the
+    bounds are the array's min and max.
     """
     if not pattern:
-        return True
-    if set(map(type, pattern)) != {tuple} or set(map(len, pattern)) != {2}:
-        return False
+        return np.empty(0, np.int64)
+    if set(map(type, pattern)) != {kind} or set(map(len, pattern)) != {2}:
+        return None
     flat = list(chain.from_iterable(pattern))
     if set(map(type, flat)) != {int}:
-        return False
-    rows, cols = flat[0::2], flat[1::2]
-    return (1 <= min(rows) and max(rows) <= n_rows
-            and 1 <= min(cols) and max(cols) <= n_cols)
+        return None
+    try:
+        ij = np.fromiter(flat, np.int64, len(flat))
+    except OverflowError:  # an int past int64, so out of range
+        return None
+    if 1 <= ij.min() and ij[0::2].max() <= n_rows and ij[1::2].max() <= n_cols:
+        return ij
+    return None
+
+
+def _check_int(what, value):
+    """Reject a bool or a non-int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInputError(f"{what} {value!r} is not an integer")
 
 
 def _check_index(what, value, bound_name, bound):
     """Reject a bool, a non-int or a value outside 1..bound."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedInputError(f"{what} {value!r} is not an integer")
+    _check_int(what, value)
     if not 1 <= value <= bound:
         raise MalformedInputError(f"{what} {value} out of range for {bound_name}={bound}")
 
@@ -77,8 +95,11 @@ class StructuredSystem:
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise MalformedInputError(f"n must be a positive integer, got {self.n!r}")
+        if self.n > MAX_STATES:
+            raise MalformedInputError(f"n must be at most {MAX_STATES}, got {self.n}")
         if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 0:
             raise MalformedInputError(f"p must be a non-negative integer, got {self.p!r}")
+        flats = []
         for name, n_rows in (("a_pattern", self.n), ("h_pattern", self.p)):
             entries = getattr(self, name)
             try:
@@ -96,7 +117,9 @@ class StructuredSystem:
                 _check_pattern(name, entries, n_rows, self.n)
                 raise
             object.__setattr__(self, name, pattern)
-            _check_pattern(name, pattern, n_rows, self.n)
+            flats.append(_check_pattern(name, pattern, n_rows, self.n))
+        if all(flat is not None for flat in flats):
+            _keep_keys(self, *flats)
 
     @classmethod
     def from_entries(cls, n, p, a_entries, h_entries=()):
@@ -190,10 +213,11 @@ class StructuredSystem:
         extends its bare graph's rows with its own measurement ends."""
         n = self.n
         if self.p == 0:
-            flat = _flat_entries(self.a_pattern)
+            keys = self._a_keys
             # Entry (i, j) is the pair (j - 1, i - 1), keyed (j - 1) * n + i - 1.
-            return SystemGraph(n=n, p=0, rows=_rows(
-                n, flat[1::2] * n + flat[0::2] - (n + 1)))
+            graph = SystemGraph(n=n, p=0, rows=_rows(n, keys % n * n + keys // n))
+            graph.__dict__["_a_keys"] = keys
+            return graph
         bare = self._bare.graph
         measured = {}
         for i, j in self.h_pattern:
@@ -204,10 +228,33 @@ class StructuredSystem:
             rows[state] += tuple(sorted(ends))
         return SystemGraph(n=n, p=self.p, rows=tuple(rows), base=bare)
 
+    @cached_property
+    def _a_keys(self):
+        """The A entries (i, j) as sorted keys (i - 1) * n + j - 1, kept by
+        the bare system: from the ints its check flattened, or from the
+        pattern flattened here when no check did (a derived system, or
+        entries of int or tuple subclasses)."""
+        if self.p:
+            return self._bare._a_keys
+        return _sorted_keys(_flat_entries(self.a_pattern), self.n)
+
+    @cached_property
+    def _h_keys(self):
+        """The H entries' sorted keys, like ``_a_keys``."""
+        return _sorted_keys(_flat_entries(self.h_pattern), self.n)
+
 
 def _flat_entries(pattern):
     """A validated pattern's entries as one flat int64 array i, j, i, j, ..."""
     return np.fromiter(chain.from_iterable(pattern), np.int64, 2 * len(pattern))
+
+
+def _sorted_keys(flat, n):
+    """Sorted keys (i - 1) * n + j - 1 of flat entries i, j, i, j, ..., as
+    one read-only int64 array.  Since j <= n, they sort in (i, j) order."""
+    keys = np.sort(flat[0::2] * n + flat[1::2] - (n + 1))
+    keys.flags.writeable = False
+    return keys
 
 
 def _as_tuples(entries):
@@ -243,13 +290,26 @@ def _rows(n, keys):
     return tuple([ends[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
 
 
-def _unchecked(n, p, a_pattern, h_pattern):
-    """A system from already validated parts, skipping ``__post_init__``."""
+def _unchecked(n, p, a_pattern, h_pattern, entries=None):
+    """A system from already validated parts, skipping ``__post_init__``.
+
+    ``entries``, when given, is the (A, H) pair of the patterns' flat
+    int64 arrays, which the system keeps as keys.
+    """
     system = object.__new__(StructuredSystem)
     for name, value in (("n", n), ("p", p),
                         ("a_pattern", a_pattern), ("h_pattern", h_pattern)):
         object.__setattr__(system, name, value)
+    if entries is not None:
+        _keep_keys(system, *entries)
     return system
+
+
+def _keep_keys(system, a_flat, h_flat):
+    """Keep checked patterns' flat entries as sorted keys, A's with the
+    bare system, so that neither pattern is flattened again."""
+    system.without_measurements().__dict__["_a_keys"] = _sorted_keys(a_flat, system.n)
+    system.__dict__["_h_keys"] = _sorted_keys(h_flat, system.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,10 +354,16 @@ class SystemGraph:
         states with an arc into state v.  Kept by the bare graph only."""
         if self.base is not None:
             return self.base.reverse
-        n, rows = self.n, self.rows
-        lengths = np.fromiter(map(len, rows), np.int64, n)
-        ends = np.fromiter(chain.from_iterable(rows), np.int64)
-        return _rows(n, ends * n + np.repeat(np.arange(n), lengths))
+        # Entry (i, j) is the reversed arc (i - 1, j - 1): its key is the row key.
+        return _rows(self.n, self._a_keys)
+
+    @cached_property
+    def _a_keys(self):
+        """The bare A entries' keys, as the system keeps them.  The system
+        that builds a bare graph hands it its own; only a graph built by
+        hand reads them off its rows."""
+        return np.array([(end - 1) * self.n + state - 1
+                         for state, end in self.edges if end <= self.n], np.int64)
 
 
 def build_digraph(sys):

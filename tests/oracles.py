@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from obspart.errors import MalformedInputError, NumericError
+from obspart.structure import StructuredSystem
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +320,55 @@ def check_pattern_reference(name, pattern, n_rows, n_cols):
                 f"{name} entry ({i}, {j}) out of range for a "
                 f"{n_rows}x{n_cols} pattern"
             )
+
+
+# ---------------------------------------------------------------------------
+# the system file loader, entry list by entry list
+
+def _entry_list_reference(raw, key):
+    if not isinstance(raw, list):
+        raise MalformedInputError(f'"{key}" must be a list of [row, column] pairs')
+    entries = []
+    for item in raw:
+        if not (isinstance(item, list) and len(item) == 2):
+            raise MalformedInputError(
+                f'"{key}" entry {item!r} is not a [row, column] pair'
+            )
+        entries.append((item[0], item[1]))
+    return entries
+
+
+def system_from_dict_reference(doc):
+    """The loader's checked route alone: every document goes through
+    ``_entry_list`` and ``StructuredSystem.from_entries``."""
+    if not isinstance(doc, dict):
+        raise MalformedInputError("system file must contain a JSON object")
+    for key in doc:
+        if key not in ("n", "p", "a", "h", "names"):
+            raise MalformedInputError(f'unknown key "{key}" in system file')
+    for key in ("n", "p", "a", "h"):
+        if key not in doc:
+            raise MalformedInputError(f'system file is missing key "{key}"')
+    for key in ("n", "p"):
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+            raise MalformedInputError(f'"{key}" must be an integer')
+    sys = StructuredSystem.from_entries(
+        doc["n"], doc["p"], _entry_list_reference(doc["a"], "a"),
+        _entry_list_reference(doc["h"], "h")
+    )
+    names = None
+    if "names" in doc:
+        names = doc["names"]
+        if (
+            not isinstance(names, list)
+            or len(names) != sys.n
+            or not all(isinstance(s, str) for s in names)
+        ):
+            raise MalformedInputError(
+                f'"names" must be a list of {sys.n} strings, one per state'
+            )
+        names = tuple(names)
+    return sys, names
 
 
 # ---------------------------------------------------------------------------

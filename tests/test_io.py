@@ -1,10 +1,12 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from obspart import (
     MalformedInputError,
+    StructuredSystem,
+    build_digraph,
     load_matrix_market,
     load_system,
     partition_report,
@@ -16,8 +18,11 @@ from obspart import (
     theorem_check,
     verify_dict,
 )
+from obspart import cli, numeric, structure
+from obspart.structure import MAX_STATES
 from conftest import S
-from strategies import systems
+from oracles import check_pattern_reference, system_from_dict_reference
+from strategies import system_documents, systems
 
 CHAIN_DOC = {"n": 3, "p": 1, "a": [[2, 1], [3, 2]], "h": [[1, 3]]}
 
@@ -72,6 +77,94 @@ class TestSystemFromDict:
         loaded, names = system_from_dict(system_to_dict(sys))
         assert loaded == sys
         assert names is None
+
+
+def _outcome(load, doc):
+    try:
+        sys, names = load(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return sys.n, sys.p, sys.a_pattern, sys.h_pattern, names
+
+
+class TestLoaderRoutes:
+    """Plain documents skip the checked route; every other document takes
+    it, so its messages and their precedence stay as they were."""
+
+    @settings(max_examples=500)
+    @given(system_documents())
+    def test_same_system_or_same_error_as_the_checked_route(self, doc):
+        outcome = _outcome(system_from_dict, doc)
+        assert outcome == _outcome(system_from_dict_reference, doc)
+        if outcome[0] is not MalformedInputError:
+            # Both routes share the constructor's check: hold a loaded
+            # system to the entry-by-entry one too.
+            n, p, a_pattern, h_pattern, _ = outcome
+            check_pattern_reference("a_pattern", a_pattern, n, n)
+            check_pattern_reference("h_pattern", h_pattern, p, n)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"a": [[2.0, 1], [2, 1]]}, "duplicate a pattern entry (2, 1)"),
+        ({"n": 0, "a": [[1, 1], [1, 1]]}, "duplicate a pattern entry (1, 1)"),
+        ({"a": [[0, 1]], "h": [[1, 1], [1, 1]]}, "duplicate h pattern entry (1, 1)"),
+        ({"a": [[True, 1]]}, "a_pattern entry (True, 1) is not a pair of integers"),
+        ({"a": [[1, 2, 3]]}, '"a" entry [1, 2, 3] is not a [row, column] pair'),
+    ])
+    def test_precedence(self, changes, message):
+        doc = dict(CHAIN_DOC, **changes)
+        assert _outcome(system_from_dict, doc) == (MalformedInputError, message)
+        assert _outcome(system_from_dict_reference, doc) == (MalformedInputError, message)
+
+    def test_a_valid_file_is_checked_once_and_never_flattened(self, tmp_path, count_calls):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(dict(CHAIN_DOC, a=[[3, 2], [2, 1], [1, 1]])))
+        checks = count_calls(structure._check_pattern)
+        flattens = count_calls(structure._flat_entries)
+        sys, _ = load_system(path)
+        graph = sys.graph
+        assert (graph.bare.rows, graph.reverse) == (((0, 1), (2,), ()), ((0,), (0,), (1,)))
+        offsets = numeric._flat_offsets(sys)
+        assert [o.tolist() for o in offsets] == [[0, 3, 7], [2]]
+        assert (len(checks), len(flattens)) == (0, 0)
+        # A system built through the constructor keeps what its check
+        # flattened; a derived one flattens its new H pattern once.
+        built = S(3, 1, [(3, 2), (2, 1), (1, 1)], [(1, 3)])
+        assert build_digraph(built).reverse == graph.reverse
+        assert [o.tolist() for o in numeric._flat_offsets(built)] == [[0, 3, 7], [2]]
+        assert len(checks) == 2 and len(flattens) == 0
+        grown = built.with_sensor_rows([1])
+        assert [o.tolist() for o in numeric._flat_offsets(grown)] == [[0, 3, 7], [2, 3]]
+        assert len(flattens) == 1
+
+
+class TestHugeN:
+    """Keys (i - 1) * n + j - 1 must fit in int64.  Nothing here builds a
+    graph: its rows alone would allocate n + 1 bounds."""
+
+    DOC = {"n": 10**30, "p": 1, "a": [[10**29, 1]], "h": [[1, 1]]}
+
+    def test_largest_n_loads(self):
+        doc = {"n": MAX_STATES, "p": 1, "a": [[MAX_STATES, 1]], "h": [[1, MAX_STATES]]}
+        sys, _ = system_from_dict(doc)
+        assert sys.n == MAX_STATES
+        assert sys._a_keys.tolist() == [(MAX_STATES - 1) * MAX_STATES]
+        assert StructuredSystem(n=MAX_STATES, p=0).n == MAX_STATES
+
+    @pytest.mark.parametrize("n", [MAX_STATES + 1, 10**30])
+    def test_past_the_limit_is_one_error(self, n):
+        message = f"n must be at most {MAX_STATES}, got {n}"
+        with pytest.raises(MalformedInputError, match=f"^{message}$"):
+            StructuredSystem(n=n, p=0)
+        doc = dict(self.DOC, n=n)
+        assert _outcome(system_from_dict, doc) == (MalformedInputError, message)
+
+    @pytest.mark.parametrize("command", ["export-dot", "analyze", "place", "verify"])
+    def test_cli_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(self.DOC))
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"n must be at most {MAX_STATES}" in err
 
 
 class TestLoadSystem:

@@ -175,6 +175,17 @@ class TestForbidStates:
             forbid_states(((3,),), (), {3})
         assert exc.value.empty_class == (3,)
 
+    @pytest.mark.parametrize("state", [True, 2.0, "2", None])
+    def test_non_integer_state_rejected(self, state):
+        # {2.0} used to drop state 2 and {True} state 1.
+        with pytest.raises(MalformedInputError) as exc:
+            forbid_states(FIX15_ALPHA, FIX15_BETA, {12, state})
+        assert str(exc.value) == f"forbidden state {state!r} is not an integer"
+
+    def test_state_outside_every_class_is_ignored(self):
+        # Only partition_report knows n, so only it range-checks.
+        assert forbid_states(FIX15_ALPHA, FIX15_BETA, {99}) == (FIX15_ALPHA, FIX15_BETA)
+
 
 class TestClassify:
     def test_chain_alpha(self, chain3):

@@ -11,6 +11,7 @@ from scipy.sparse import csr_matrix
 from obspart import (
     MalformedInputError,
     StructuredSystem,
+    SystemGraph,
     accessibility_check,
     build_digraph,
 )
@@ -278,6 +279,18 @@ class TestCsr:
             g = build_digraph(system)
             assert g.rows == _scipy_rows(system)
             assert all(type(row) is tuple for row in g.rows)
+
+
+class TestReverse:
+    @given(systems())
+    def test_reverse_of_a_graph_built_by_hand(self, sys):
+        # A graph the system did not build reads its entries off its rows.
+        graph = build_digraph(sys)
+        by_hand = SystemGraph(n=sys.n, p=sys.p, rows=graph.rows)
+        assert by_hand.reverse == graph.reverse
+        assert by_hand.reverse == tuple(
+            tuple(sorted(j - 1 for (i, j) in sys.a_pattern if i == v + 1))
+            for v in range(sys.n))
 
 
 class TestBipartite:
