@@ -16,18 +16,12 @@ from .errors import MalformedInputError
 
 
 # Keys (i - 1) * n + j - 1 of every pair must fit in int64: n * n + n < 2**63.
+# p is bounded alike, so the H keys fit too.
 MAX_STATES = 3_037_000_499
 
 
 def _check_pattern(name, pattern, n_rows, n_cols):
-    """Raise on the first bad entry.  Returns the entries' flat int64
-    array when they pass the fast check, None when they needed the
-    entry-by-entry one."""
-    flat = _plain_pairs(pattern, tuple, n_rows, n_cols)
-    if flat is not None:
-        return flat
-    # An entry is bad or of a subclass: check entry by entry, so that the
-    # first bad entry is the one named.
+    """Raise on the first bad entry, in the pattern's own order."""
     for entry in pattern:
         if (
             not isinstance(entry, tuple)
@@ -45,18 +39,43 @@ def _check_pattern(name, pattern, n_rows, n_cols):
             )
 
 
-def _plain_pairs(pattern, kind, n_rows, n_cols):
-    """The entries as one flat int64 array i, j, i, j, ... when every
-    entry is a ``kind`` of two ints inside the bounds; None otherwise.
+def _plain_system(n, p, a, h, kinds):
+    """The system of entry lists ``a`` and ``h`` that are ``kinds``
+    containers of ``kinds`` pairs of ints, in range and without repeats,
+    checked before anything is hashed; None for any other input, which
+    the caller's checked route then names.  The checked entries become
+    the system's kept keys, so neither pattern is flattened again."""
+    if not (type(n) is int and type(p) is int and 1 <= n <= MAX_STATES
+            and 0 <= p <= MAX_STATES and type(a) in kinds and type(h) in kinds):
+        return None
+    flats, patterns = [], []
+    for raw, n_rows in ((a, n), (h, p)):
+        flat = _plain_pairs(raw, kinds, n_rows, n)
+        if flat is None:
+            return None
+        pattern = frozenset(map(tuple, raw))
+        if len(pattern) != len(raw):  # a repeated entry
+            return None
+        flats.append(flat)
+        patterns.append(pattern)
+    system = _unchecked(n, p, *patterns)
+    system.without_measurements().__dict__["_a_keys"] = _sorted_keys(flats[0], n)
+    system.__dict__["_h_keys"] = _sorted_keys(flats[1], n)
+    return system
 
-    Only exact ``kind`` and ``int`` pass, so a bool, a numpy integer or
-    any subclass fails here and is left to the entry-by-entry check.
+
+def _plain_pairs(pattern, kinds, n_rows, n_cols):
+    """The entries as one flat int64 array i, j, i, j, ... when every
+    entry is a ``kinds`` pair of ints inside the bounds; None otherwise.
+
+    Only the exact types in ``kinds`` and ``int`` pass, so a bool, a numpy
+    integer or any subclass fails here and is left to the checked route.
     The type and length tests run in C, one pass per property, and the
     bounds are the array's min and max.
     """
     if not pattern:
         return np.empty(0, np.int64)
-    if set(map(type, pattern)) != {kind} or set(map(len, pattern)) != {2}:
+    if not set(map(type, pattern)) <= kinds or set(map(len, pattern)) != {2}:
         return None
     flat = list(chain.from_iterable(pattern))
     if set(map(type, flat)) != {int}:
@@ -99,7 +118,8 @@ class StructuredSystem:
             raise MalformedInputError(f"n must be at most {MAX_STATES}, got {self.n}")
         if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 0:
             raise MalformedInputError(f"p must be a non-negative integer, got {self.p!r}")
-        flats = []
+        if self.p > MAX_STATES:
+            raise MalformedInputError(f"p must be at most {MAX_STATES}, got {self.p}")
         for name, n_rows in (("a_pattern", self.n), ("h_pattern", self.p)):
             entries = getattr(self, name)
             try:
@@ -110,16 +130,8 @@ class StructuredSystem:
                 ) from None
             if items is entries:  # an iterator is read once: keep its entries
                 entries = list(items)
-            try:
-                pattern = frozenset(entries)
-            except TypeError:
-                # Only an entry that is no pair of integers is unhashable.
-                _check_pattern(name, entries, n_rows, self.n)
-                raise
-            object.__setattr__(self, name, pattern)
-            flats.append(_check_pattern(name, pattern, n_rows, self.n))
-        if all(flat is not None for flat in flats):
-            _keep_keys(self, *flats)
+            _check_pattern(name, entries, n_rows, self.n)
+            object.__setattr__(self, name, frozenset(entries))
 
     @classmethod
     def from_entries(cls, n, p, a_entries, h_entries=()):
@@ -128,15 +140,18 @@ class StructuredSystem:
         File parsers come through here: a repeated (i, j) pair is a sign
         of a malformed input rather than something to merge silently.
         """
+        system = _plain_system(n, p, a_entries, h_entries, {list, tuple})
+        if system is not None:
+            return system
         patterns = []
         for name, entries in (("a", a_entries), ("h", h_entries)):
             entries = _as_tuples(entries)
+            patterns.append(entries)
             try:
                 pattern = frozenset(entries)
             except TypeError:
                 # The constructor names the unhashable entry, or the
                 # pattern that is not iterable.
-                patterns.append(entries)
                 continue
             if len(pattern) != len(entries):
                 # Only a pattern known to repeat an entry is scanned for it.
@@ -145,7 +160,6 @@ class StructuredSystem:
                     if e in seen:
                         raise MalformedInputError(f"duplicate {name} pattern entry {e}")
                     seen.add(e)
-            patterns.append(pattern)
         return cls(n=n, p=p, a_pattern=patterns[0], h_pattern=patterns[1])
 
     def sorted_a(self):
@@ -231,9 +245,8 @@ class StructuredSystem:
     @cached_property
     def _a_keys(self):
         """The A entries (i, j) as sorted keys (i - 1) * n + j - 1, kept by
-        the bare system: from the ints its check flattened, or from the
-        pattern flattened here when no check did (a derived system, or
-        entries of int or tuple subclasses)."""
+        the bare system: the ints ``_plain_system`` checked, or the pattern
+        flattened here on first use (a system built directly or derived)."""
         if self.p:
             return self._bare._a_keys
         return _sorted_keys(_flat_entries(self.a_pattern), self.n)
@@ -290,26 +303,13 @@ def _rows(n, keys):
     return tuple([ends[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
 
 
-def _unchecked(n, p, a_pattern, h_pattern, entries=None):
-    """A system from already validated parts, skipping ``__post_init__``.
-
-    ``entries``, when given, is the (A, H) pair of the patterns' flat
-    int64 arrays, which the system keeps as keys.
-    """
+def _unchecked(n, p, a_pattern, h_pattern):
+    """A system from already validated parts, skipping ``__post_init__``."""
     system = object.__new__(StructuredSystem)
     for name, value in (("n", n), ("p", p),
                         ("a_pattern", a_pattern), ("h_pattern", h_pattern)):
         object.__setattr__(system, name, value)
-    if entries is not None:
-        _keep_keys(system, *entries)
     return system
-
-
-def _keep_keys(system, a_flat, h_flat):
-    """Keep checked patterns' flat entries as sorted keys, A's with the
-    bare system, so that neither pattern is flattened again."""
-    system.without_measurements().__dict__["_a_keys"] = _sorted_keys(a_flat, system.n)
-    system.__dict__["_h_keys"] = _sorted_keys(h_flat, system.n)
 
 
 @dataclass(frozen=True, eq=False)

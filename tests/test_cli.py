@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -317,6 +318,53 @@ class TestMatrixMarketInput:
         assert doc["n"] == 3 and doc["p"] == 0
         assert doc["observable"] is False  # no measurements yet
         assert doc["alpha_classes"] == [[3]]
+
+
+class TestRejectedInput:
+    """Each bad flag, environment value or input file exits 2 with one line."""
+
+    @pytest.mark.parametrize("argv, env_seed, message", [
+        (["analyze", "--seed", "-1"], None, "--seed must be non-negative, got -1"),
+        (["verify", "--trials", "0"], None, "--trials must be at least 1, got 0"),
+        (["analyze"], "-1", "OBSPART_SEED must be non-negative, got -1"),
+        (["place", "--forbid", "0"], None, "--forbid takes positive states, got 0"),
+    ])
+    def test_bad_argument(self, chain_path, capsys, monkeypatch, argv, env_seed, message):
+        if env_seed is None:
+            monkeypatch.delenv("OBSPART_SEED", raising=False)
+        else:
+            monkeypatch.setenv("OBSPART_SEED", env_seed)
+        argv.insert(1, chain_path)
+        assert run_cli(argv, capsys) == (2, "", f"obspart: error: {message}\n")
+
+    @pytest.mark.parametrize("body, message", [
+        ("% only a comment\n", "Matrix Market file has no size line"),
+        ("3 3 1\n2\n", "bad Matrix Market entry line '2'"),
+        ("3 3 1\n2 x\n", "bad Matrix Market entry line '2 x'"),
+    ])
+    def test_bad_matrix_market_file(self, tmp_path, capsys, body, message):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate pattern general\n" + body)
+        assert run_cli(["analyze", str(path)], capsys) == (
+            2, "", f"obspart: error: {message}\n")
+
+    def test_first_bad_entry_is_named_in_every_process(self, tmp_path):
+        # Entries are checked in file order, not in a set's hash order, so
+        # the line does not change with PYTHONHASHSEED.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "p": 0, "h": [],
+                                    "a": [["a", 1], ["b", 1], ["c", 2], ["d", 2]]}))
+        lines = set()
+        for hash_seed in "1234":
+            proc = subprocess.run(
+                [sys.executable, "-m", "obspart.cli", "analyze", str(path)],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            )
+            assert (proc.returncode, proc.stdout) == (2, "")
+            lines.add(proc.stderr)
+        assert lines == {
+            "obspart: error: a_pattern entry ('a', 1) is not a pair of integers\n"}
 
 
 class TestParserReuse:

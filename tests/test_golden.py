@@ -14,6 +14,9 @@ After an intended report change, regenerate and review the diff:
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,29 @@ def test_golden_reports_replayed_in_one_process():
     for case, command in calls:
         expected = (GOLDEN / case / f"{command}.txt").read_text(encoding="utf-8")
         assert _run(case, command) == expected, (case, command)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_golden_reports_do_not_depend_on_the_hash_seed(hash_seed):
+    # Set order of str and tuple keys changes with PYTHONHASHSEED: replay
+    # every case in one child process per seed.
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_golden as g\n"
+        "print(json.dumps({f'{case}/{command}': g._run(case, command)\n"
+        "                  for case in g.FORBID for command in g.COMMANDS}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(Path(__file__).resolve().parent)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+    )
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)
+    assert len(reports) == 35
+    for key, report in reports.items():
+        assert report == (GOLDEN / f"{key}.txt").read_text(encoding="utf-8"), key
 
 
 def _write_inputs():

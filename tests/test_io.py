@@ -126,15 +126,24 @@ class TestLoaderRoutes:
         offsets = numeric._flat_offsets(sys)
         assert [o.tolist() for o in offsets] == [[0, 3, 7], [2]]
         assert (len(checks), len(flattens)) == (0, 0)
-        # A system built through the constructor keeps what its check
-        # flattened; a derived one flattens its new H pattern once.
+        # A system built by ``from_entries`` takes the same fast check and
+        # keeps its keys; a derived one flattens its new H pattern once.
         built = S(3, 1, [(3, 2), (2, 1), (1, 1)], [(1, 3)])
         assert build_digraph(built).reverse == graph.reverse
         assert [o.tolist() for o in numeric._flat_offsets(built)] == [[0, 3, 7], [2]]
-        assert len(checks) == 2 and len(flattens) == 0
+        assert len(checks) == 0 and len(flattens) == 0
         grown = built.with_sensor_rows([1])
         assert [o.tolist() for o in numeric._flat_offsets(grown)] == [[0, 3, 7], [2, 3]]
         assert len(flattens) == 1
+        # A system built directly checks each pattern entry by entry and
+        # flattens each once, on first use.
+        direct = StructuredSystem(n=3, p=1, a_pattern={(3, 2), (2, 1), (1, 1)},
+                                  h_pattern=[(1, 3)])
+        assert len(checks) == 2 and len(flattens) == 1
+        assert build_digraph(direct).reverse == graph.reverse
+        for _ in range(2):
+            assert [o.tolist() for o in numeric._flat_offsets(direct)] == [[0, 3, 7], [2]]
+        assert len(checks) == 2 and len(flattens) == 3
 
 
 class TestHugeN:
@@ -165,6 +174,37 @@ class TestHugeN:
         assert cli.main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"n must be at most {MAX_STATES}" in err
+
+
+class TestHugeP:
+    """p is bounded like n, so that the H keys fit in int64 too."""
+
+    DOC = {"n": 1, "p": 10**30, "a": [], "h": [[10**29, 1]]}
+
+    def test_largest_p_loads(self):
+        doc = {"n": 2, "p": MAX_STATES, "a": [], "h": [[MAX_STATES, 2]]}
+        sys, _ = system_from_dict(doc)
+        assert sys.p == MAX_STATES
+        assert sys._h_keys.tolist() == [(MAX_STATES - 1) * 2 + 1]
+        direct = StructuredSystem(n=2, p=MAX_STATES, h_pattern={(MAX_STATES, 2)})
+        assert direct._h_keys.tolist() == sys._h_keys.tolist()
+
+    @pytest.mark.parametrize("p", [MAX_STATES + 1, 10**18, 10**30])
+    def test_past_the_limit_is_one_error(self, p):
+        message = f"p must be at most {MAX_STATES}, got {p}"
+        with pytest.raises(MalformedInputError, match=f"^{message}$"):
+            StructuredSystem(n=10, p=p, h_pattern={(p, 3)})
+        assert _outcome(system_from_dict, dict(self.DOC, p=p)) == (
+            MalformedInputError, message)
+
+    @pytest.mark.parametrize("command", ["export-dot", "analyze"])
+    def test_cli_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(self.DOC))
+        assert cli.main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"obspart: error: p must be at most {MAX_STATES}, got {10**30}\n"
 
 
 class TestLoadSystem:

@@ -96,6 +96,19 @@ class TestStructuredSystem:
         assert _message(_check_pattern, name, entries, rows, n) == expected
         built = partial(StructuredSystem, n=n, p=p, **{name: entries})
         assert _message(built) == expected
+        if isinstance(entry, tuple):  # from_entries makes a tuple of a list or dict
+            lists = (entries, []) if which == "a" else ([], entries)
+            from_entries = partial(StructuredSystem.from_entries, n, p, *lists)
+            assert _message(from_entries) == expected
+
+    @pytest.mark.parametrize("first, second, message", [
+        ((3, 1), ("x", 2), "a_pattern entry (3, 1) out of range for a 2x2 pattern"),
+        (("x", 2), (3, 1), "a_pattern entry ('x', 2) is not a pair of integers"),
+    ])
+    def test_first_bad_entry_in_input_order_is_named(self, first, second, message):
+        entries = [(1, 1), first, (2, 2), second]
+        assert _message(StructuredSystem, 2, 0, entries) == message
+        assert _message(StructuredSystem.from_entries, 2, 0, entries) == message
 
     @pytest.mark.parametrize("a, h, message", [
         ([[1, [2]]], [], "a_pattern entry (1, [2]) is not a pair of integers"),
