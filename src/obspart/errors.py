@@ -22,18 +22,15 @@ class InconsistencyError(ObspartError):
 
 
 class DegenerateStructureError(ObspartError):
-    """The sparsity structure falls outside the partition theory's domain.
-
-    Raised when the alternating searches of two unmatched seeds reach a
-    common state: some deficient component is short by two or more nodes.
-    ``overlaps`` holds the sorted (seed_a, seed_b) pairs of 1-based seeds,
-    seed_a < seed_b, whose searches met, at least one pair per degenerate
-    component; the message counts them and names the first three.
+    """The sparsity structure falls outside the partition theory's domain:
+    some connected part of the Dulmage-Mendelsohn horizontal block is short
+    by k >= 2 nodes.  ``components`` holds every part's (lowest state, k),
+    ascending; they and the message are the same for every maximum matching.
     """
 
-    def __init__(self, message, overlaps=()):
+    def __init__(self, message, components=()):
         super().__init__(message)
-        self.overlaps = tuple(overlaps)
+        self.components = tuple(components)
 
 
 class InfeasiblePlacementError(ObspartError):

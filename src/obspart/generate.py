@@ -25,10 +25,10 @@ def random_system(rng, n_lo=3, n_hi=12, density_lo=1.5, density_hi=3.0,
 
 def random_partitionable_system(rng, n_lo=3, n_hi=10, density_lo=1.5,
                                 density_hi=3.0, p_lo=0, p_hi=0, attempts=1000):
-    """Like random_system, but resampled until the contraction member
-    sets are pairwise disjoint-or-equal, i.e. every rank deficit is
-    repairable one sensor at a time and the class machinery applies.
-    """
+    """Like random_system, but resampled until every connected part of
+    the Dulmage-Mendelsohn horizontal block is short by one node, i.e.
+    every rank deficit is repairable one sensor at a time and the class
+    machinery applies."""
     for _ in range(attempts):
         sys = random_system(rng, n_lo, n_hi, density_lo, density_hi, p_lo, p_hi)
         try:

@@ -6,7 +6,7 @@ paths of a maximum matching finds every rank class.
 
 from dataclasses import dataclass
 
-from ._kernels import hopcroft_karp, search
+from ._kernels import search
 from .errors import DegenerateStructureError
 from .structure import build_digraph
 
@@ -36,16 +36,9 @@ def maximum_matching(bg):
 
 
 def s_rank(sys, include_h=False):
-    """Structural rank of A, or of the stacked [A; H] with ``include_h``.
-
-    The stacked graph only adds measurement ends to the bare one, so its
-    matching starts from the bare system's and needs at most one
-    augmentation per row.
-    """
-    match_begin, _ = build_digraph(sys.without_measurements()).matching
-    if include_h and sys.p:
-        g = build_digraph(sys)
-        match_begin, _ = hopcroft_karp(g.rows, g.n_end, start=match_begin)
+    """Structural rank of A, or of the stacked [A; H] with ``include_h``."""
+    graph = build_digraph(sys if include_h else sys.without_measurements())
+    match_begin, _ = graph.matching
     return len(match_begin) - match_begin.count(-1)
 
 
@@ -55,16 +48,15 @@ class Contraction:
 
     id: int                 # position after sorting by lowest member
     members: tuple          # ascending state numbers
-    witness_unmatched: int  # the unmatched begin node that generated the set
 
 
 def contractions(bg):
-    """One contraction per unmatched begin of the graph's own matching,
-    sorted by lowest member.
+    """The rank classes: the connected parts of the graph's Dulmage-Mendelsohn
+    horizontal block, one per unmatched begin, sorted by lowest member.
 
-    Two seeds whose searches reach a common state leave no decomposition
-    with one set per deficit, so that raises DegenerateStructureError
-    rather than being guessed around.
+    A part short by two or more nodes leaves no decomposition with one
+    class per deficit, so that raises DegenerateStructureError rather than
+    being guessed around.
     """
     match_begin, match_end = bg.matching
     # Stepping via match_end turns each end into the begin matched to it,
@@ -75,26 +67,40 @@ def contractions(bg):
     owner, clashes = search(
         bg.rows, [u if e < 0 else -1 for u, e in enumerate(match_begin)],
         via=match_end)
-    if clashes:
-        overlaps = tuple((a + 1, b + 1) for a, b in clashes)
-        # Name only the first three pairs, so the message stays one short line.
-        shown = ", ".join(f"{a} & {b}" for a, b in overlaps[:3])
-        more = ", ..." if len(overlaps) > 3 else ""
-        raise DegenerateStructureError(
-            f"contraction member sets overlap partially ({len(overlaps)} "
-            f"clashing seed pairs: {shown}{more}); a deficient component "
-            "is short by two or more nodes",
-            overlaps=overlaps,
-        )
+    # States come in ascending order, so each seed first appears at its
+    # lowest member and the classes come out sorted.
     members = {}
     for state, seed in enumerate(owner, start=1):
         if seed >= 0:
-            members.setdefault(seed + 1, []).append(state)
-    ordered = sorted((tuple(states), seed) for seed, states in members.items())
-    return tuple(
-        Contraction(id=idx, members=states, witness_unmatched=seed)
-        for idx, (states, seed) in enumerate(ordered)
-    )
+            members.setdefault(seed, []).append(state)
+    if clashes:
+        raise _degenerate(members, clashes)
+    return tuple(Contraction(id=idx, members=tuple(states))
+                 for idx, states in enumerate(members.values()))
+
+
+def _degenerate(members, clashes):
+    """The error naming the parts that clashing seeds join, each short by its seeds."""
+    parent = {seed: seed for seed in members}
+
+    def root(u):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
+
+    for a, b in clashes:
+        parent[root(b)] = root(a)
+    parts = {}  # root seed: [lowest state, number of seeds]
+    for seed, states in members.items():
+        part = parts.setdefault(root(seed), [states[0], 0])
+        part[1] += 1
+    components = tuple(map(tuple, parts.values()))
+    short = [f"lowest state {low}: short by {k}" for low, k in components if k > 1]
+    more = "; ..." if len(short) > 3 else ""
+    return DegenerateStructureError(
+        "contraction member sets overlap partially: some deficient component "
+        f"is short by two or more nodes ({'; '.join(short[:3])}{more})",
+        components=components)
 
 
 def system_contractions(sys):

@@ -368,14 +368,13 @@ def verify_beta_equivalence(
     _check_tol(tol)
     h_alpha = list(h_alpha)
     base_sys = sys.without_measurements().with_sensor_rows(h_alpha)
-    base_rank, _ = modal_gramian_rank(base_sys, seed, trials, tol)
     rank_u, rank_v, rank_uv = (
         modal_gramian_rank(base_sys.with_sensor_rows(extra), seed, trials, tol)[0]
         for extra in ([u], [v], [u, v]))
     if not (rank_u == rank_v == rank_uv):
         return False
     if h_alpha:
-        return rank_u == base_rank + 1
+        return rank_u == modal_gramian_rank(base_sys, seed, trials, tol)[0] + 1
     return True
 
 

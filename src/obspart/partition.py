@@ -222,9 +222,10 @@ def minimal_placement(alpha_classes, beta_classes, *, sys=None, all_witnesses=Fa
 def classify_measurements(sys):
     """Label each measurement row alpha, beta, or gamma.
 
-    Classes are covered greedily — rank classes first, then access
-    classes, lowest row index first — so exactly one row is designated
-    per class it is the first to reach; the rest are gamma.
+    Rows are matched to the rank classes, then the rows left to the
+    access classes, each by one maximum matching; every row matched to
+    neither is gamma, and dropping all of them together leaves an
+    observable system observable.
     """
     return _label_rows(_row_states(sys), *equivalence_classes(sys))
 
@@ -243,26 +244,19 @@ def _row_states(sys):
 
 
 def _label_rows(row_states, alpha, beta):
-    """Give each class, in order, the lowest untaken row touching it."""
-    # Each state's rows, highest first, so that the lowest untaken row is
-    # the last one once taken rows are popped; a row, once taken, stays
-    # taken, so each state's list is popped through at most once.
-    rows_of = {}
-    for row in sorted(row_states, reverse=True):
-        for state in row_states[row]:
-            rows_of.setdefault(state, []).append(row)
+    """Match the rows, as begins lowest first, to the rank classes they
+    touch, then the rows left to the access classes: a row matched to a
+    rank class is alpha, one matched to an access class beta, the rest gamma."""
     labels = dict.fromkeys(row_states, GAMMA)
     for family, classes in ((ALPHA, alpha), (BETA, beta)):
-        for cls in classes:
-            best = None
-            for state in cls:
-                rows = rows_of.get(state)
-                while rows and labels[rows[-1]] != GAMMA:
-                    rows.pop()
-                if rows and (best is None or rows[-1] < best):
-                    best = rows[-1]
-            if best is not None:
-                labels[best] = family
+        class_of = {state: c for c, cls in enumerate(classes) for state in cls}
+        free = [row for row, label in labels.items() if label == GAMMA]
+        touched = [sorted({class_of[s] for s in row_states[row] if s in class_of})
+                   for row in free]
+        match_begin, _ = hopcroft_karp(touched, len(classes))
+        for row, c in zip(free, match_begin):
+            if c >= 0:
+                labels[row] = family
     return tuple(labels.values())
 
 

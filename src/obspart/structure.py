@@ -344,9 +344,10 @@ class SystemGraph:
 
     @cached_property
     def matching(self):
-        """(match_begin, match_end) tuples of a maximum matching, found
-        once from the empty matching, so its tie-breaks are the kernel's."""
-        return hopcroft_karp(self.rows, self.n_end)
+        """(match_begin, match_end) tuples of a maximum matching, found once:
+        from the empty one for a bare graph, else from the bare graph's."""
+        start = None if self.base is None else self.base.matching[0]
+        return hopcroft_karp(self.rows, self.n_end, start=start)
 
     @cached_property
     def reverse(self):

@@ -81,6 +81,45 @@ def rank_class_sets(n_begin, edges):
     return sorted(sets)
 
 
+def horizontal_parts(n_begin, edges):
+    """(members, k) of each connected part of the Dulmage-Mendelsohn
+    horizontal block, sorted, from the unmatched sets alone.
+
+    The members are the begins some maximum matching leaves unmatched.
+    Two of them share a part when swapping one for the other in some
+    matching's unmatched set gives another's; k counts a part's members
+    in an unmatched set, the same number in every one.
+    """
+    possible = possible_unmatched_sets(n_begin, edges)
+    union = sorted(set().union(*possible))
+    part = {b: frozenset([b]) for b in union}
+    for s in possible:
+        for u in s:
+            for v in union:
+                if v not in s and (s - {u}) | {v} in possible:
+                    merged = part[u] | part[v]
+                    for w in merged:
+                        part[w] = merged
+    out = []
+    for members in set(part.values()):
+        counts = {len(s & members) for s in possible}
+        assert len(counts) == 1, "a part's deficit differs between matchings"
+        out.append((tuple(sorted(members)), counts.pop()))
+    return sorted(out)
+
+
+def max_matching_size(rows):
+    """Size of a maximum matching of begins to ends, ``rows[u]`` listing
+    the ends of begin u, by trying every end (or none) for each begin."""
+    def best(u, used):
+        if u == len(rows):
+            return 0
+        skip = best(u + 1, used)
+        return max([skip] + [1 + best(u + 1, used | {v})
+                             for v in rows[u] if v not in used])
+    return best(0, frozenset())
+
+
 # ---------------------------------------------------------------------------
 # class bookkeeping by literal pairwise scans
 

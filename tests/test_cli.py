@@ -138,8 +138,8 @@ class TestAnalyze:
             assert (code, out) == (3, "")
             assert err == (
                 "obspart: infeasible: contraction member sets overlap "
-                "partially (1 clashing seed pairs: 2 & 3); a deficient "
-                "component is short by two or more nodes\n")
+                "partially: some deficient component is short by two or "
+                "more nodes (lowest state 1: short by 2)\n")
 
     def test_byte_identical_reruns(self, fix15_path, capsys):
         _, first, _ = run_cli(["analyze", fix15_path], capsys)

@@ -604,6 +604,19 @@ class TestVerifyBeta:
         assert not verify_beta_equivalence(sys, [3], 4, 5)
 
 
+    def test_base_rank_only_when_it_decides(self, count_calls):
+        # The base rank is read only over a nonempty base, and only once
+        # the ranks with u, with v and with both agree.
+        calls = count_calls(numeric.modal_gramian_rank)
+        loops = S(5, 0, [(2, 1), (3, 2), (4, 4), (5, 5)])
+        for sys, base, u, v, verdict, count in (
+                (S(3, 0, [(2, 1), (3, 2), (1, 3)]), [], 1, 2, True, 3),
+                (loops, [3], 4, 5, False, 3),
+                (loops, [3], 4, 4, True, 4)):
+            calls.clear()
+            assert verify_beta_equivalence(sys, base, u, v) is verdict
+            assert len(calls) == count
+
 class TestGenericAgreement:
     def test_observable_chain(self, chain3):
         assert generic_agreement(chain3, trials=100) == 1.0

@@ -20,7 +20,12 @@ from obspart import (
 from obspart import _kernels, matching, scc
 from obspart.partition import _label_rows, _overlap_rows, _row_states
 from conftest import FIX15_A, FIX15_ALPHA, FIX15_BETA, S
-from oracles import greedy_row_labels, numeric_observable, overlap_edges
+from oracles import (
+    greedy_row_labels,
+    max_matching_size,
+    numeric_observable,
+    overlap_edges,
+)
 from strategies import systems
 
 
@@ -217,19 +222,41 @@ class TestClassify:
         sys = S(3, 1, [(2, 1), (3, 2)], [(1, 1), (1, 3)])
         assert classify_measurements(sys) == ("alpha",)
 
-    @pytest.mark.xfail(strict=True, reason="the greedy labels can call a "
-                       "necessary multi-state row gamma; ROADMAP item 3")
     def test_no_necessary_row_is_gamma(self):
-        # Rank classes {2} and {3}, access class {4}: row 2 takes {2},
-        # which leaves {3} no untaken row and row 3 reading gamma, yet
-        # without row 3 states 2 and 3 share one row and the system is
-        # not observable.
+        # Rank classes {2} and {3}, access class {4}: a greedy pass gives
+        # row 2 to {2} and leaves {3} no row, yet without row 3 states 2
+        # and 3 share one row and the system is not observable.  The
+        # matching gives row 2 to {3} and row 3 to {2}.
         sys = S(4, 3, [(1, 1), (2, 1), (3, 1), (4, 4)],
                 [(1, 4), (2, 2), (2, 3), (3, 2)])
         labels = classify_measurements(sys)
         for row, label in enumerate(labels, start=1):
             if is_necessary(sys, row):
                 assert label != "gamma"
+
+    @given(systems(n_max=7, allow_h=False), st.data())
+    def test_dropping_every_gamma_row_keeps_observability(self, sys, data):
+        try:
+            alpha, beta = equivalence_classes(sys)
+        except DegenerateStructureError:
+            return
+        # As many rows as a minimal placement has sensors, or a few more,
+        # each on one to three class members, so that they compete.
+        _, count = minimal_placement(alpha, beta)
+        members = sorted({s for cls in alpha + beta for s in cls})
+        rows = data.draw(st.lists(st.sets(st.sampled_from(members), min_size=1,
+                                          max_size=3),
+                                  min_size=count, max_size=count + 2))
+        grown = S(sys.n, len(rows), sorted(sys.a_pattern),
+                  [(r, s) for r, states in enumerate(rows, start=1) for s in states])
+        if not theorem_check(grown).observable:
+            return
+        labels = classify_measurements(grown)
+        kept = grown
+        for row in range(grown.p, 0, -1):
+            if labels[row - 1] == "gamma":
+                kept = kept.without_row(row)
+        assert theorem_check(kept).observable
 
     def test_row_without_states_is_malformed(self):
         sys = S(3, 2, [(2, 1), (3, 2)], [(1, 3)])  # row 2 empty
@@ -273,7 +300,29 @@ class TestBookkeeping:
         assert len(overlap) == len(alpha)
         assert ([(i, j) for i, row in enumerate(overlap) for j in row]
                 == overlap_edges(alpha, beta))
-        assert _label_rows(rows, alpha, beta) == greedy_row_labels(rows, alpha, beta)
+        # Each single-state row touches at most one class of a family, so
+        # the matchings give every class its lowest row, as a greedy pass does.
+        single = {row: {min(states)} for row, states in rows.items()}
+        assert _label_rows(single, alpha, beta) == greedy_row_labels(single, alpha, beta)
+
+    @given(families_and_rows())
+    def test_labels_are_maximum_matchings(self, case):
+        alpha, beta, rows = case
+        labels = dict(zip(rows, _label_rows(rows, alpha, beta)))
+
+        def touched(chosen, classes):
+            return [[c for c, cls in enumerate(classes) if rows[row] & set(cls)]
+                    for row in chosen]
+
+        alpha_rows = [row for row in rows if labels[row] == "alpha"]
+        left = [row for row in rows if labels[row] != "alpha"]
+        beta_rows = [row for row in left if labels[row] == "beta"]
+        # The rows labelled alpha are a largest set of rows matched to
+        # rank classes, and the beta rows one among the rows left over.
+        assert max_matching_size(touched(alpha_rows, alpha)) == len(alpha_rows)
+        assert max_matching_size(touched(rows, alpha)) == len(alpha_rows)
+        assert max_matching_size(touched(beta_rows, beta)) == len(beta_rows)
+        assert max_matching_size(touched(left, beta)) == len(beta_rows)
 
     @given(systems(n_max=6, p_max=4))
     def test_row_states_groups_every_row(self, sys):
@@ -414,17 +463,28 @@ class TestSharing:
 class TestMatchingBudget:
     """Guards the count of Hopcroft-Karp runs against recomputation."""
 
-    def test_check_and_two_reports_run_seven_matchings(self, count_calls):
+    def test_check_and_two_reports_run_eleven_matchings(self, count_calls):
         # theorem_check: the bare matching and the input's, warm from it;
-        # plain report: intra-component, class overlap and witness check;
-        # forbidden report: class overlap and witness check.
+        # plain report: intra-component, class overlap, witness check and
+        # the two row-label matchings; forbidden report: class overlap,
+        # witness check and the two row-label matchings.
         sys = fix15_chain()
         calls = count_calls(_kernels.hopcroft_karp)
         assert theorem_check(sys).observable is False
         assert partition_report(sys).sensor_count == 60
         forbid = {12 + 15 * k for k in range(20)}
         assert partition_report(sys, forbid=forbid).sensor_count == 80
-        assert len(calls) == 7
+        assert len(calls) == 11
+
+    def test_derived_check_runs_one_matching(self, count_calls):
+        # Once the bare matching exists, a derived system's check only
+        # augments it, and a second check reads the kept matching.
+        sys = fix15_chain()
+        theorem_check(sys.without_measurements())
+        calls = count_calls(_kernels.hopcroft_karp)
+        derived = sys.with_sensor_rows([1])
+        assert theorem_check(derived).s_rank == theorem_check(derived).s_rank
+        assert len(calls) == 1
 
 
 class TestPlacementProperties:
