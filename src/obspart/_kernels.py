@@ -1,4 +1,6 @@
-"""Kernels for the hot graph loops: every interpreted loop over a graph.
+"""Kernels for the hot graph loops: every interpreted loop over a graph,
+the matching, the components, the multi-source search and the scan for
+labels that rows leave.
 
 A graph is passed as ``rows``: one sequence of neighbor ids per node,
 sorted ascending, which makes matching tie-breaks deterministic.  The
@@ -194,22 +196,19 @@ def tarjan_scc(rows):
     return tuple(comp), n_comp
 
 
-def inside(rows, label):
-    """Each row cut down to the ends that share its begin's ``label``.
+def leaving(rows, label):
+    """The set of labels whose rows hold an end with another label.
 
-    Every id in ``rows`` indexes ``label``.  Returns a list holding each
-    row itself when nothing is cut, else a list of the ends kept, and the
-    set of labels whose rows lost an end.
+    Every id in ``rows`` indexes ``label``.
     """
-    internal, sources = [], set()
+    sources = set()
     for row, mine in zip(rows, label):
-        for v in row:
-            if label[v] != mine:
-                row = [v for v in row if label[v] == mine]
-                sources.add(mine)
-                break
-        internal.append(row)
-    return internal, sources
+        if mine not in sources:
+            for v in row:
+                if label[v] != mine:
+                    sources.add(mine)
+                    break
+    return sources
 
 
 def search(rows, owner, via=None):

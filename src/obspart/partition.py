@@ -74,10 +74,10 @@ def equivalence_classes(sys):
     bare system: the classes describe candidate sensor sites, whatever
     rows are already there.
 
-    An unmatched parent component yields no access class, because it
-    contains a full rank class, whose sensor already sits inside it.  The
-    rank classes come first, so a system without them raises before any
-    access class is computed.
+    The access classes are the parent components that hold no whole rank
+    class, whose sensor would already sit inside them.  In the domain these
+    are the parents a disjoint cycle family covers.  The rank classes come
+    first, so a system outside it raises before any access class is computed.
     """
     alpha = rank_classes(sys)
     return alpha, sys.without_measurements().memo(_access_classes)
@@ -94,13 +94,11 @@ def _rank_classes(bare):
 
 def _access_classes(bare):
     dec = decompose(build_digraph(bare))
-    return tuple(
-        comp
-        for comp, is_parent, is_matched in zip(
-            dec.components, dec.parent_flags, dec.matched_flags
-        )
-        if is_parent and is_matched
-    )
+    comp = dec.comp
+    held = {comp[cls[0] - 1] for cls in rank_classes(bare)
+            if len({comp[s - 1] for s in cls}) == 1}
+    return tuple(members for c, members in enumerate(dec.components)
+                 if dec.parent_flags[c] and c not in held)
 
 
 def _normalize_classes(classes, family):
@@ -281,7 +279,7 @@ def partition_report(sys, forbid=(), all_witnesses=False):
     classes = equivalence_classes(sys)
     alpha, beta = forbid_states(*classes, forbid) if forbid else classes
     sets, count = minimal_placement(alpha, beta, sys=sys, all_witnesses=all_witnesses)
-    labels = _label_rows(_row_states(sys), *classes) if sys.p else ()
+    labels = sys.memo(classify_measurements) if sys.p else ()
     return PartitionReport(
         alpha_classes=alpha,
         beta_classes=beta,

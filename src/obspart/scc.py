@@ -1,23 +1,27 @@
 """Strongly connected components, sink detection, and accessibility.
 
 Components hold states only.  The README's "Graph core" section defines
-parent and matched components and says which rows each check reads.
+parent components and says which rows each check reads.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 
-from ._kernels import hopcroft_karp, inside, search, tarjan_scc
+from ._kernels import leaving, search, tarjan_scc
 from .errors import InconsistencyError, PreconditionError
 from .structure import build_digraph
 
 
 @dataclass(frozen=True)
 class SccDecomposition:
+    """Components, parent flags and the condensation of a graph's states.
+
+    Two decompositions are equal when their components and parent flags are.
+    """
+
     components: tuple    # tuples of ascending state numbers, sorted by lowest member
     parent_flags: tuple  # bool per component: no arc into another component
-    matched_flags: tuple  # bool per component: internal perfect matching exists
     comp: tuple = field(repr=False, compare=False)  # component index per state, 0-based
     rows: tuple = field(repr=False, compare=False)  # the bare graph's state rows
 
@@ -40,8 +44,7 @@ class SccDecomposition:
 
 def decompose(dg):
     """SCC decomposition of the state part of a system graph."""
-    bare = dg.bare
-    n, rows = bare.n, bare.rows
+    rows = dg.bare.rows
     comp_raw, n_comp = tarjan_scc(rows)
 
     # States are scanned in ascending order, so each group lists its states
@@ -51,21 +54,11 @@ def decompose(dg):
         groups.setdefault(c, []).append(state)
     renumber = dict(zip(groups, range(n_comp)))
     comp = tuple(map(renumber.__getitem__, comp_raw))
-
-    # Intra-component arcs form a block-diagonal bipartite graph, so one
-    # maximum matching is maximum on every block: a component has a
-    # perfect matching iff all of its states are matched.  The matching
-    # starts from the bare one less the pairs that leave their component.
-    internal, sources = inside(rows, comp)
-    start = [e if e >= 0 and comp[e] == c else -1
-             for e, c in zip(bare.matching[0], comp)]
-    match_begin, _ = hopcroft_karp(internal, n, start=start)
-    short = {c for c, e in zip(comp, match_begin) if e < 0}
+    sources = leaving(rows, comp)
 
     return SccDecomposition(
         components=tuple(map(tuple, groups.values())),
         parent_flags=tuple(c not in sources for c in range(n_comp)),
-        matched_flags=tuple(c not in short for c in range(n_comp)),
         comp=comp,
         rows=rows,
     )

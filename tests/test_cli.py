@@ -366,6 +366,14 @@ class TestRejectedInput:
         assert lines == {
             "obspart: error: a_pattern entry ('a', 1) is not a pair of integers\n"}
 
+    def test_internal_error_exits_2_with_one_line(self, chain_path, capsys, monkeypatch):
+        def inconsistent(*args, **kwargs):
+            raise obspart.InconsistencyError("classes do not describe this system")
+
+        monkeypatch.setattr(cli, "partition_report", inconsistent)
+        assert run_cli(["analyze", chain_path], capsys) == (
+            2, "", "obspart: internal error: classes do not describe this system\n")
+
 
 class TestParserReuse:
     """One parser serves every ``main`` call in a process."""

@@ -363,6 +363,19 @@ class TestTarjan:
         assert comp[2] < comp[1] < comp[0]
 
 
+class TestLeaving:
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_matches_a_scan_of_every_arc(self, data):
+        n = data.draw(st.integers(1, 8))
+        arcs = random_arcs(data, n)
+        label = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        rows = rows_from_pairs(n, arcs)
+        got = K.leaving(rows, label)
+        assert type(got) is set
+        assert got == {label[s] for s, d in arcs if label[d] != label[s]}
+
+
 class TestSearch:
     @given(st.data())
     @settings(max_examples=40)

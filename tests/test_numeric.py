@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from obspart import (
+    NumericError,
     NumericRealization,
     ParameterError,
     generic_agreement,
@@ -468,6 +469,18 @@ class TestPbh:
         )
         deficient = pbh_check(r)
         assert [z.real for z in deficient] == [1.0, 2.0, 3.0]
+
+    def test_eigensolver_failure_is_a_numeric_error(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        r = NumericRealization(
+            a=np.diag([1.0, 2.0]), h=np.array([[1.0, 0.0]]), seed=0, trial=0
+        )
+        with pytest.raises(NumericError,
+                           match=r"^eigensolver failed: Eigenvalues did not converge\nA = \["):
+            pbh_check(r)
 
 
 class TestPbhReference:

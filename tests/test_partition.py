@@ -463,18 +463,18 @@ class TestSharing:
 class TestMatchingBudget:
     """Guards the count of Hopcroft-Karp runs against recomputation."""
 
-    def test_check_and_two_reports_run_eleven_matchings(self, count_calls):
+    def test_check_and_two_reports_run_eight_matchings(self, count_calls):
         # theorem_check: the bare matching and the input's, warm from it;
-        # plain report: intra-component, class overlap, witness check and
-        # the two row-label matchings; forbidden report: class overlap,
-        # witness check and the two row-label matchings.
+        # plain report: class overlap, witness check and the two row-label
+        # matchings; forbidden report: class overlap and witness check, the
+        # row labels being kept by the system.
         sys = fix15_chain()
         calls = count_calls(_kernels.hopcroft_karp)
         assert theorem_check(sys).observable is False
         assert partition_report(sys).sensor_count == 60
         forbid = {12 + 15 * k for k in range(20)}
         assert partition_report(sys, forbid=forbid).sensor_count == 80
-        assert len(calls) == 11
+        assert len(calls) == 8
 
     def test_derived_check_runs_one_matching(self, count_calls):
         # Once the bare matching exists, a derived system's check only

@@ -2,19 +2,22 @@ import pytest
 from hypothesis import given
 
 from obspart import (
+    DegenerateStructureError,
     InconsistencyError,
     PreconditionError,
     accessibility_check,
     block_form_certificate,
     build_digraph,
     decompose,
+    equivalence_classes,
+    export_dot,
 )
+import obspart._kernels as _kernels
 import obspart.partition as partition
-import obspart.scc as scc
 import obspart.structure as structure
 from obspart.partition import _access_classes
 from conftest import S
-from oracles import bfs_reach, brute_sccs, cycle_family_covers
+from oracles import bfs_reach, brute_sccs, cycle_family_covers, horizontal_parts
 from strategies import systems
 
 
@@ -28,30 +31,30 @@ class TestDecompose:
         dec = decompose(build_digraph(cycle3))
         assert dec.components == ((1, 2, 3),)
         assert dec.parent_flags == (True,)
-        assert dec.matched_flags == (True,)
         assert dec.order == ()
+        # No rank class, so the parent is an access class.
+        assert equivalence_classes(cycle3) == ((), ((1, 2, 3),))
 
     def test_chain_three_singletons(self):
         dec = decompose(build_digraph(S(3, 0, [(2, 1), (3, 2)])))
         assert dec.components == ((1,), (2,), (3,))
         assert dec.parent_flags == (False, False, True)
-        assert dec.matched_flags == (False, False, False)
         assert dec.order == ((0, 1), (1, 2))
 
     def test_fixture_matched_parents(self, fix15):
         dec = decompose(build_digraph(fix15))
-        parents = [
-            dec.components[i]
-            for i in dec.parent_components()
-            if dec.matched_flags[i]
-        ]
-        assert parents == [(9,), (11, 12, 13, 14)]
+        parents = tuple(dec.components[i] for i in dec.parent_components())
+        assert parents == ((9,), (11, 12, 13, 14))
+        # Neither parent holds a whole rank class, so both are access classes.
+        assert _access_classes(fix15) == parents
 
     def test_self_loop_singleton_is_matched(self):
-        dec = decompose(build_digraph(S(2, 0, [(1, 1), (1, 2)])))
+        sys = S(2, 0, [(1, 1), (1, 2)])
+        dec = decompose(build_digraph(sys))
         assert dec.components == ((1,), (2,))
-        assert dec.matched_flags == (True, False)
         assert dec.parent_flags == (True, False)
+        # The rank class {1, 2} leaves the parent {1}, which the self-loop covers.
+        assert equivalence_classes(sys) == (((1, 2),), ((1,),))
 
     def test_measurement_arcs_do_not_break_parenthood(self):
         with_h = decompose(build_digraph(S(2, 1, [(1, 1)], [(1, 1)])))
@@ -122,15 +125,7 @@ class TestDecompose:
             builds.append(args[0])
             return rows(*args)
 
-        matched = []
-        match = scc.hopcroft_karp
-
-        def recorded(internal, n_end, start=None):
-            matched.append(internal)
-            return match(internal, n_end, start=start)
-
         monkeypatch.setattr(structure, "_rows", counted)
-        monkeypatch.setattr(scc, "hopcroft_karp", recorded)
         bare = S(fix15.n, 0, sorted(fix15.a_pattern))
         assert _access_classes(bare) == ((9,), (11, 12, 13, 14))
         assert builds == [fix15.n]
@@ -141,28 +136,46 @@ class TestDecompose:
         assert builds == [fix15.n]
         assert dec.rows is bare.graph.rows
         assert dec == decompose(build_digraph(bare))
-        # A row with no arc out of its component reaches the matching as
-        # the bare row itself; any other row as its ends inside.
-        assert len(matched) == 3
-        comp = dec.comp
-        for internal in matched:
-            cut = 0
-            for u, row in enumerate(bare.graph.rows):
-                ends = [v for v in row if comp[v] == comp[u]]
-                if len(ends) == len(row):
-                    assert internal[u] is row
-                else:
-                    assert internal[u] == ends
-                    cut += 1
-            assert 0 < cut < fix15.n
 
-    @given(systems(n_max=6, allow_h=False))
-    def test_matched_iff_cycle_family(self, sys):
-        dec = decompose(build_digraph(sys))
-        arcs = state_arcs(sys)
-        for comp, flag in zip(dec.components, dec.matched_flags):
+    def test_decomposition_and_scc_coloring_run_no_matching(self, fix15, count_calls):
+        matchings = count_calls(_kernels.hopcroft_karp)
+        sccs = count_calls(_kernels.tarjan_scc)
+        decompose(build_digraph(S(fix15.n, 1, sorted(fix15.a_pattern), [(1, 9)])))
+        assert len(sccs) == 1
+        export_dot(S(fix15.n, 1, sorted(fix15.a_pattern), [(1, 9)]), color_by="scc")
+        assert len(sccs) == 2
+        assert matchings == []
+
+
+class TestAccessClasses:
+    @given(systems(n_max=6))
+    def test_access_classes_are_the_parents_a_cycle_family_covers(self, sys):
+        try:
+            beta = equivalence_classes(sys)[1]
+        except DegenerateStructureError:
+            return
+        arcs = [(s - 1, t - 1) for (s, t) in state_arcs(sys)]
+        want = []
+        for comp in brute_sccs(sys.n, arcs):
             internal = [(s, t) for (s, t) in arcs if s in comp and t in comp]
-            assert flag == cycle_family_covers(comp, internal)
+            if (not any(s in comp and t not in comp for s, t in arcs)
+                    and cycle_family_covers(comp, internal)):
+                want.append(tuple(sorted(s + 1 for s in comp)))
+        assert beta == tuple(sorted(want))
+
+    def test_rule_is_not_the_cycle_family_outside_the_domain(self):
+        # Parent {1, 2, 3} has no cycle family, yet the only horizontal
+        # part, {2, 3, 4} short by 2, leaves it: outside the domain the two
+        # rules part, and the classes are refused before either is read.
+        sys = S(4, 0, [(2, 1), (3, 1), (1, 2), (1, 3), (1, 4)])
+        dec = decompose(build_digraph(sys))
+        parents = [dec.components[i] for i in dec.parent_components()]
+        assert parents == [(1, 2, 3)]
+        assert not cycle_family_covers(
+            (1, 2, 3), [(s, t) for (s, t) in state_arcs(sys) if 4 not in (s, t)])
+        assert horizontal_parts(sys.n, sys.graph.edges) == [((2, 3, 4), 2)]
+        with pytest.raises(DegenerateStructureError, match="lowest state 2: short by 2"):
+            equivalence_classes(sys)
 
 
 class TestAccessibility:
