@@ -1,6 +1,5 @@
 """Kernels for the hot graph loops: every interpreted loop over a graph,
-the matching, the components, the multi-source search and the scan for
-labels that rows leave.
+the matching, the components and the multi-source search.
 
 A graph is passed as ``rows``: one sequence of neighbor ids per node,
 sorted ascending, which makes matching tie-breaks deterministic.  The
@@ -141,74 +140,61 @@ def hopcroft_karp(rows, n_end, start=None):
 
 
 def tarjan_scc(rows):
-    """Strongly connected components; returns (comp_id, n_comp).
+    """Strongly connected components; returns (comp_id, n_comp, exits).
 
     Every id in ``rows`` is a node, so a system passes its state arcs
     only.  ``comp_id`` is a tuple of ints, one per node, and ``n_comp`` an
     int.  Component ids follow Tarjan's pop order: if some edge leads from
     component a to component b (a != b) then comp_id[b] < comp_id[a],
-    i.e. ascending id is a sinks-first topological order.
+    i.e. ascending id is a sinks-first topological order.  ``exits`` is
+    the set of ids of the components with an arc into another one: an arc
+    into a node whose component is popped, a tree arc included, leaves the
+    component of its source, and an arc into a node on the stack stays in it.
+
+    A node's index is its position on the stack.  Only nodes on the stack
+    are compared, and they lie on it in visit order, so positions serve as
+    visit numbers and a component is the stack above its root's position.
     """
     n = len(rows)
-    order = [-1] * n
+    index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    scc_stack = []
     comp = [-1] * n
+    sources = []  # nodes with an arc out of their component
     n_comp = 0
-    counter = 0
     for root in range(n):
-        if order[root] != -1:
+        if index[root] != -1:
             continue
-        order[root] = low[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack[root] = True
+        index[root] = low[root] = 0
+        stack = [root]  # every component is popped before the next root
         nodes = [root]  # the DFS path, with an iterator over the rest of each row
         scans = [iter(rows[root])]
         while nodes:
             u = nodes[-1]
             for v in scans[-1]:
-                if order[v] == -1:
+                if index[v] == -1:
                     break
-                if on_stack[v] and order[v] < low[u]:
-                    low[u] = order[v]
+                if comp[v] != -1:
+                    sources.append(u)
+                elif index[v] < low[u]:
+                    low[u] = index[v]
             else:
-                if low[u] == order[u]:
-                    while True:
-                        w = scc_stack.pop()
-                        on_stack[w] = False
-                        comp[w] = n_comp
-                        if w == u:
-                            break
-                    n_comp += 1
                 nodes.pop()
                 scans.pop()
-                if nodes and low[u] < low[nodes[-1]]:
+                if low[u] == index[u]:
+                    for w in stack[low[u]:]:
+                        comp[w] = n_comp
+                    del stack[low[u]:]
+                    n_comp += 1
+                    if nodes:
+                        sources.append(nodes[-1])
+                elif low[u] < low[nodes[-1]]:
                     low[nodes[-1]] = low[u]
                 continue
-            order[v] = low[v] = counter
-            counter += 1
-            scc_stack.append(v)
-            on_stack[v] = True
+            index[v] = low[v] = len(stack)
+            stack.append(v)
             nodes.append(v)
             scans.append(iter(rows[v]))
-    return tuple(comp), n_comp
-
-
-def leaving(rows, label):
-    """The set of labels whose rows hold an end with another label.
-
-    Every id in ``rows`` indexes ``label``.
-    """
-    sources = set()
-    for row, mine in zip(rows, label):
-        if mine not in sources:
-            for v in row:
-                if label[v] != mine:
-                    sources.add(mine)
-                    break
-    return sources
+    return tuple(comp), n_comp, {comp[u] for u in sources}
 
 
 def search(rows, owner, via=None):

@@ -27,7 +27,13 @@ from .io import (
     report_dict,
     verify_dict,
 )
-from .numeric import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, rank_report
+from .numeric import (
+    DEFAULT_SEED,
+    DEFAULT_TOL,
+    DEFAULT_TRIALS,
+    NUMERIC_STATE_LIMIT,
+    rank_report,
+)
 from .partition import ALL_WITNESS_LIMIT, partition_report, theorem_check
 
 EXIT_OK = 0
@@ -95,6 +101,8 @@ def _add_common(parser):
                         help=f"realizations per numeric vote (default {DEFAULT_TRIALS})")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help=f"relative singular-value threshold (default {DEFAULT_TOL})")
+    parser.epilog = (f"The numeric oracle takes at most {NUMERIC_STATE_LIMIT} states; "
+                     "a larger system exits 2.")
 
 
 @functools.cache

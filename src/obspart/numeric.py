@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, PreconditionError
 from .matching import s_rank
 from .partition import theorem_check
 
@@ -23,9 +23,12 @@ DEFAULT_SEED = 42
 DEFAULT_TRIALS = 5
 DEFAULT_TOL = 1e-8
 
-# Trials realized and grown together; memory is O(_TRIAL_BLOCK * n^2)
-# whatever the trial count.
+# Trials realized and grown together.  A block holds about
+# 2 * _TRIAL_BLOCK * n^2 doubles, the A stack and the basis buffer, whatever
+# the trial count: at n = NUMERIC_STATE_LIMIT, the largest n the oracle
+# realizes, that is 2 * 8 * 2048^2 * 8 bytes = 512 MiB.
 _TRIAL_BLOCK = 8
+NUMERIC_STATE_LIMIT = 2048
 
 _LOG_LO = math.log(0.5)
 _LOG_HI = math.log(2.0)
@@ -70,6 +73,9 @@ def realize(sys, seed=DEFAULT_SEED, trial=0):
 def _realize_stack(sys, seed, trials):
     """(A, H) stacks of shape (T, n, n) and (T, p, n), one per trial, each
     drawn exactly as a lone ``realize`` of that trial would draw it."""
+    if sys.n > NUMERIC_STATE_LIMIT:
+        raise PreconditionError(f"the numeric oracle realizes at most "
+                                f"{NUMERIC_STATE_LIMIT} states, got n={sys.n}")
     a_offsets, h_offsets = _flat_offsets(sys)
     count = len(a_offsets) + len(h_offsets)
     logs = np.empty((len(trials), count))

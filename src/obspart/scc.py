@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 
-from ._kernels import leaving, search, tarjan_scc
+from ._kernels import search, tarjan_scc
 from .errors import InconsistencyError, PreconditionError
 from .structure import build_digraph
 
@@ -45,7 +45,7 @@ class SccDecomposition:
 def decompose(dg):
     """SCC decomposition of the state part of a system graph."""
     rows = dg.bare.rows
-    comp_raw, n_comp = tarjan_scc(rows)
+    comp_raw, n_comp, exits = tarjan_scc(rows)
 
     # States are scanned in ascending order, so each group lists its states
     # ascending and the groups come in order of their lowest member.
@@ -53,13 +53,11 @@ def decompose(dg):
     for state, c in enumerate(comp_raw, start=1):
         groups.setdefault(c, []).append(state)
     renumber = dict(zip(groups, range(n_comp)))
-    comp = tuple(map(renumber.__getitem__, comp_raw))
-    sources = leaving(rows, comp)
 
     return SccDecomposition(
         components=tuple(map(tuple, groups.values())),
-        parent_flags=tuple(c not in sources for c in range(n_comp)),
-        comp=comp,
+        parent_flags=tuple(c not in exits for c in groups),
+        comp=tuple(map(renumber.__getitem__, comp_raw)),
         rows=rows,
     )
 

@@ -15,6 +15,7 @@ else:  # pytest itself depends on tomli before 3.11
 
 import obspart
 from obspart import cli
+from obspart.numeric import NUMERIC_STATE_LIMIT
 from conftest import FIX15_A
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -373,6 +374,39 @@ class TestRejectedInput:
         monkeypatch.setattr(cli, "partition_report", inconsistent)
         assert run_cli(["analyze", chain_path], capsys) == (
             2, "", "obspart: internal error: classes do not describe this system\n")
+
+
+class TestStateLimit:
+    """The numeric oracle refuses a system above its state limit; the
+    structural commands do not."""
+
+    @pytest.fixture()
+    def long_chain_path(self, tmp_path):
+        n = NUMERIC_STATE_LIMIT + 1
+        path = tmp_path / "long_chain.json"
+        path.write_text(json.dumps({"n": n, "p": 1, "h": [[1, n]],
+                                    "a": [[i + 1, i] for i in range(1, n)]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "place", "verify"])
+    def test_numeric_commands_exit_2_with_one_line(self, long_chain_path, capsys,
+                                                   command):
+        assert run_cli([command, long_chain_path], capsys) == (
+            2, "", f"obspart: error: the numeric oracle realizes at most "
+                   f"{NUMERIC_STATE_LIMIT} states, got n={NUMERIC_STATE_LIMIT + 1}\n")
+
+    def test_export_dot_is_not_limited(self, long_chain_path, capsys):
+        code, out, err = run_cli(["export-dot", long_chain_path], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("digraph")
+
+    @pytest.mark.parametrize("command", ["analyze", "place", "verify"])
+    def test_help_states_the_limit(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert (f"The numeric oracle takes at most {NUMERIC_STATE_LIMIT} states; "
+                f"a larger system exits 2.") in help_text
 
 
 class TestParserReuse:

@@ -82,7 +82,7 @@ class TestPinnedOutputs:
 
     def test_scc_ids_are_pinned(self):
         n, arcs = block_chain(np.random.default_rng(5), 300)
-        comp, n_comp = K.tarjan_scc(rows_from_pairs(n, arcs))
+        comp, n_comp, _ = K.tarjan_scc(rows_from_pairs(n, arcs))
         assert digest(comp, [n_comp]) == TARJAN_DIGEST
 
 
@@ -113,10 +113,11 @@ class TestSystemGraphArrays:
         assert match_end == (2, 0, 1, 3)
 
     def test_tarjan_scc(self, graph):
-        comp, n_comp = K.tarjan_scc(graph.rows)
+        comp, n_comp, exits = K.tarjan_scc(graph.rows)
         assert is_int_tuple(comp)
         assert type(n_comp) is int
         assert comp == (1, 1, 1, 0)  # the sink {4} pops first
+        assert exits == {1}
 
     def test_search(self, graph):
         # 0 -> 1 -> 2 -> 0 and 2 -> 3, and a loop at 3.
@@ -222,7 +223,7 @@ class TestWarmStart:
         bare = sys.without_measurements().graph
         start, start_end = K.hopcroft_karp(bare.rows, bare.n)
 
-        comp, _ = K.tarjan_scc(bare.rows)
+        comp, _, _ = K.tarjan_scc(bare.rows)
         intra = tuple(tuple(v for v in row if comp[v] == comp[u])
                       for u, row in enumerate(bare.rows))
         intra_start = tuple(e if e >= 0 and comp[e] == comp[u] else -1
@@ -346,11 +347,11 @@ def random_arcs(data, n):
 
 class TestTarjan:
     @given(st.data())
-    @settings(max_examples=40)
+    @settings(max_examples=60)
     def test_matches_brute_force(self, data):
-        n = data.draw(st.integers(1, 7))
+        n = data.draw(st.integers(1, 8))
         arcs = random_arcs(data, n)
-        comp, n_comp = K.tarjan_scc(rows_from_pairs(n, arcs))
+        comp, n_comp, _ = K.tarjan_scc(rows_from_pairs(n, arcs))
         groups = {}
         for v in range(n):
             groups.setdefault(comp[v], set()).add(v)
@@ -359,21 +360,22 @@ class TestTarjan:
 
     def test_component_ids_topological(self):
         # arcs 0->1->2: pop order makes sinks lower ids
-        comp, _ = K.tarjan_scc(rows_from_pairs(3, [(0, 1), (1, 2)]))
+        comp, _, exits = K.tarjan_scc(rows_from_pairs(3, [(0, 1), (1, 2)]))
         assert comp[2] < comp[1] < comp[0]
+        assert exits == {comp[0], comp[1]}
 
 
 class TestLeaving:
+    """The components with an arc out, as `tarjan_scc` finds them in its pass."""
+
     @given(st.data())
     @settings(max_examples=60)
     def test_matches_a_scan_of_every_arc(self, data):
         n = data.draw(st.integers(1, 8))
         arcs = random_arcs(data, n)
-        label = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-        rows = rows_from_pairs(n, arcs)
-        got = K.leaving(rows, label)
-        assert type(got) is set
-        assert got == {label[s] for s, d in arcs if label[d] != label[s]}
+        comp, _, exits = K.tarjan_scc(rows_from_pairs(n, arcs))
+        assert type(exits) is set
+        assert exits == {comp[s] for s, d in arcs if comp[d] != comp[s]}
 
 
 class TestSearch:

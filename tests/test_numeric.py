@@ -1,5 +1,6 @@
 import re
 import threading
+import tracemalloc
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
@@ -11,6 +12,7 @@ from obspart import (
     NumericError,
     NumericRealization,
     ParameterError,
+    PreconditionError,
     generic_agreement,
     gramian_rank,
     modal_gramian_rank,
@@ -23,7 +25,13 @@ from obspart import (
     verify_beta_equivalence,
 )
 import obspart.numeric as numeric
-from obspart.numeric import _TRIAL_BLOCK, _flat_offsets, _observable_bases, _realize_stack
+from obspart.numeric import (
+    NUMERIC_STATE_LIMIT,
+    _TRIAL_BLOCK,
+    _flat_offsets,
+    _observable_bases,
+    _realize_stack,
+)
 from conftest import S
 from oracles import (
     exact_krylov_rank,
@@ -406,6 +414,34 @@ class TestFixedCosts:
         seeded.clear()
         assert rank_report(sys, seed=5) == first
         assert seeded == []
+
+
+def chain(n):
+    """States 1 -> 2 -> ... -> n, with the last one measured."""
+    return S(n, 1, [(i + 1, i) for i in range(1, n)], [(1, n)])
+
+
+class TestStateLimit:
+    def test_limit_is_realized(self):
+        r = realize(chain(NUMERIC_STATE_LIMIT))
+        assert r.a.shape == (NUMERIC_STATE_LIMIT, NUMERIC_STATE_LIMIT)
+
+    @pytest.mark.parametrize("call", [realize, rank_report, modal_gramian_rank,
+                                      generic_agreement])
+    def test_above_limit_is_refused_before_any_square_array(self, call):
+        n = NUMERIC_STATE_LIMIT + 1
+        sys = chain(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError) as info:
+                call(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"the numeric oracle realizes at most "
+                                   f"{NUMERIC_STATE_LIMIT} states, got n={n}")
+        # One n x n array of doubles would take n^2 * 8 bytes, about 34 MB.
+        assert peak < n * n * 8 // 100
 
 
 class TestModalVote:

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given
 
@@ -138,10 +140,13 @@ class TestDecompose:
         assert dec == decompose(build_digraph(bare))
 
     def test_decomposition_and_scc_coloring_run_no_matching(self, fix15, count_calls):
-        matchings = count_calls(_kernels.hopcroft_karp)
-        sccs = count_calls(_kernels.tarjan_scc)
+        kernels = {name: count_calls(f) for name, f in list(vars(_kernels).items())
+                   if inspect.isfunction(f)}
+        assert set(kernels) == {"hopcroft_karp", "tarjan_scc", "search"}
+        matchings, sccs = kernels["hopcroft_karp"], kernels["tarjan_scc"]
         decompose(build_digraph(S(fix15.n, 1, sorted(fix15.a_pattern), [(1, 9)])))
-        assert len(sccs) == 1
+        # One kernel call finds the components and the parents.
+        assert sum(map(len, kernels.values())) == len(sccs) == 1
         export_dot(S(fix15.n, 1, sorted(fix15.a_pattern), [(1, 9)]), color_by="scc")
         assert len(sccs) == 2
         assert matchings == []
