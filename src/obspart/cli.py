@@ -32,6 +32,7 @@ from .numeric import (
     DEFAULT_TOL,
     DEFAULT_TRIALS,
     NUMERIC_STATE_LIMIT,
+    check_state_limit,
     rank_report,
 )
 from .partition import ALL_WITNESS_LIMIT, partition_report, theorem_check
@@ -124,7 +125,7 @@ def build_parser():
     _add_common(p_an)
     p_an.add_argument("--check", action="store_true",
                       help="exit 1 when the system is not generically observable")
-    p_an.set_defaults(forbid=(), all_witnesses=False)
+    p_an.set_defaults(handler=cmd_report, forbid=(), all_witnesses=False)
 
     p_pl = sub.add_parser("place", help="minimal sensor placement, with what-ifs")
     _add_common(p_pl)
@@ -134,16 +135,18 @@ def build_parser():
     p_pl.add_argument("--all-witnesses", action="store_true",
                       help=f"enumerate every minimal placement (at most "
                            f"{ALL_WITNESS_LIMIT} candidate states)")
-    p_pl.set_defaults(check=False)
+    p_pl.set_defaults(handler=cmd_report, check=False)
 
     p_ve = sub.add_parser("verify", help="compare structural and numeric verdicts")
     _add_common(p_ve)
+    p_ve.set_defaults(handler=cmd_verify)
 
     p_dot = sub.add_parser("export-dot", help="Graphviz digraph of the system")
     p_dot.add_argument("path", help="system file (JSON; .mtx/.mm for Matrix Market)")
     p_dot.add_argument("--out", default=None, help="write output here instead of stdout")
     p_dot.add_argument("--color-by", choices=COLOR_MODES, default="alpha",
                        help="which class family colors the states (default alpha)")
+    p_dot.set_defaults(handler=cmd_export_dot)
     return parser
 
 
@@ -163,6 +166,7 @@ def cmd_report(args):
     seed = _seed_of(args)
     system, names = _load(args.path)
     forbidden = _parse_forbid(args.forbid, system.n)
+    check_state_limit(system)
     check = theorem_check(system)
     part = partition_report(system, forbid=forbidden,
                             all_witnesses=args.all_witnesses)
@@ -179,6 +183,7 @@ def cmd_verify(args):
     _check_numeric_args(args)
     seed = _seed_of(args)
     system, _ = _load(args.path)
+    check_state_limit(system)
     check = theorem_check(system)
     rank = rank_report(system, seed=seed, trials=args.trials, tol=args.tol)
     doc = verify_dict(system, check, rank, seed)
@@ -194,18 +199,10 @@ def cmd_export_dot(args):
     return EXIT_OK
 
 
-_HANDLERS = {
-    "analyze": cmd_report,
-    "place": cmd_report,
-    "verify": cmd_verify,
-    "export-dot": cmd_export_dot,
-}
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (MalformedInputError, ParameterError, PreconditionError, OSError) as exc:
         print(f"obspart: error: {exc}", file=_sys.stderr)
         return EXIT_INPUT

@@ -70,13 +70,22 @@ def realize(sys, seed=DEFAULT_SEED, trial=0):
     return NumericRealization(a=a[0], h=h[0], seed=seed, trial=trial)
 
 
-def _realize_stack(sys, seed, trials):
-    """(A, H) stacks of shape (T, n, n) and (T, p, n), one per trial, each
-    drawn exactly as a lone ``realize`` of that trial would draw it."""
+def check_state_limit(sys):
+    """Raise ``PreconditionError`` for a system of more states than the
+    oracle realizes, before anything n x n is allocated."""
     if sys.n > NUMERIC_STATE_LIMIT:
         raise PreconditionError(f"the numeric oracle realizes at most "
                                 f"{NUMERIC_STATE_LIMIT} states, got n={sys.n}")
-    a_offsets, h_offsets = _flat_offsets(sys)
+
+
+def _realize_stack(sys, seed, trials):
+    """(A, H) stacks of shape (T, n, n) and (T, p, n), one per trial, each
+    drawn exactly as a lone ``realize`` of that trial would draw it.
+
+    The values land at the system's kept keys ``(i-1)*n + (j-1)``, which
+    sort in the (i, j) order in which they are drawn."""
+    check_state_limit(sys)
+    a_offsets, h_offsets = sys._a_keys, sys._h_keys
     count = len(a_offsets) + len(h_offsets)
     logs = np.empty((len(trials), count))
     bits = np.empty((len(trials), count), dtype=np.int64)
@@ -116,22 +125,6 @@ def _generator():
     if rng is None:
         rng = _thread.rng = np.random.Generator(np.random.PCG64(0))
     return rng
-
-
-def _flat_offsets(sys):
-    """Sorted flat offsets ``(i-1)*n + (j-1)`` of the A and the H entries,
-    as read-only int64 arrays: the system's kept keys.  They sort in the
-    (i, j) order in which the values are drawn."""
-    return sys._a_keys, sys._h_keys
-
-
-def _svd_rank(matrix, tol):
-    if matrix.size == 0:
-        return 0
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int((sv > tol * sv[0]).sum())
 
 
 def _observable_bases(a, h, tol):
@@ -326,34 +319,29 @@ def rank_report(sys, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
     )
 
 
-def _stacked_rank(sys, extra_states, seed, tol):
-    """Numeric rank of a realized [A; rows on extra_states] stack."""
-    probe = sys.without_measurements().with_sensor_rows(extra_states)
-    r = realize(probe, seed, 0)
-    return _svd_rank(np.vstack([r.a, r.h]), tol)
-
-
 def verify_alpha_equivalence(sys, u, v, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Do sensors at u and v repair the same single structural-rank deficit?
 
     Checks that a row on u, a row on v, and both rows together each lift
     the structural rank of the bare state pattern by exactly one, then
-    confirms the three ranks on a numeric realization.
+    confirms the three ranks on a numeric realization.  A state that is
+    no int in 1..n raises ``MalformedInputError``, whichever it is.
     """
     _check_nonnegative("seed", seed)
     _check_tol(tol)
     bare = sys.without_measurements()
     base = s_rank(bare)
-    probes = ([u], [v], [u, v])
-    structural_ok = all(
-        s_rank(bare.with_sensor_rows(extra), include_h=True) == base + 1
-        for extra in probes
-    )
-    if not structural_ok:
+    probes = [bare.with_sensor_rows(extra) for extra in ([u], [v], [u, v])]
+    if any(s_rank(probe, include_h=True) != base + 1 for probe in probes):
         return False
-    return all(
-        _stacked_rank(sys, extra, seed, tol) == base + 1 for extra in probes
-    )
+    for probe in probes:
+        # Every probe has a sensor value of magnitude at least 0.5, so the
+        # largest singular value is positive.
+        r = realize(probe, seed, 0)
+        sv = np.linalg.svd(np.vstack([r.a, r.h]), compute_uv=False)
+        if (sv > tol * sv[0]).sum() != base + 1:
+            return False
+    return True
 
 
 def verify_beta_equivalence(

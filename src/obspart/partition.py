@@ -151,11 +151,12 @@ def forbid_states(alpha_classes, beta_classes, forbidden):
     return reduce(alpha_classes, "alpha"), reduce(beta_classes, "beta")
 
 
-def _overlap_rows(alpha, beta):
-    """Row i lists, ascending, the beta classes that alpha class i meets."""
-    beta_of = {state: j for j, cls in enumerate(beta) for state in cls}
+def _overlap_rows(groups, classes):
+    """Row i lists, ascending, the classes that group i of states meets;
+    every matching in this module runs on such rows."""
+    class_of = {state: c for c, cls in enumerate(classes) for state in cls}
     return tuple(
-        tuple(sorted({beta_of[s] for s in cls if s in beta_of})) for cls in alpha
+        tuple(sorted({class_of[s] for s in group if s in class_of})) for group in groups
     )
 
 
@@ -247,10 +248,8 @@ def _label_rows(row_states, alpha, beta):
     rank class is alpha, one matched to an access class beta, the rest gamma."""
     labels = dict.fromkeys(row_states, GAMMA)
     for family, classes in ((ALPHA, alpha), (BETA, beta)):
-        class_of = {state: c for c, cls in enumerate(classes) for state in cls}
         free = [row for row, label in labels.items() if label == GAMMA]
-        touched = [sorted({class_of[s] for s in row_states[row] if s in class_of})
-                   for row in free]
+        touched = _overlap_rows(map(row_states.get, free), classes)
         match_begin, _ = hopcroft_karp(touched, len(classes))
         for row, c in zip(free, match_begin):
             if c >= 0:

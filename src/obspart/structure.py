@@ -275,13 +275,9 @@ def _as_tuples(entries):
     a pattern that is not iterable is kept as it is, for the constructor
     to name."""
     try:
-        entries = list(entries)
+        return [_as_tuple(e) for e in entries]
     except TypeError:
         return entries
-    try:
-        return [tuple(e) for e in entries]
-    except TypeError:
-        return [_as_tuple(e) for e in entries]
 
 
 def _as_tuple(entry):

@@ -388,12 +388,30 @@ class TestStateLimit:
                                     "a": [[i + 1, i] for i in range(1, n)]}))
         return str(path)
 
-    @pytest.mark.parametrize("command", ["analyze", "place", "verify"])
-    def test_numeric_commands_exit_2_with_one_line(self, long_chain_path, capsys,
-                                                   command):
-        assert run_cli([command, long_chain_path], capsys) == (
+    @pytest.fixture()
+    def fan_in_path(self, tmp_path):
+        # Out of domain: the structural analysis of ``analyze`` and
+        # ``place`` would exit 3.
+        n = NUMERIC_STATE_LIMIT + 1
+        path = tmp_path / "fan_in.json"
+        path.write_text(json.dumps({"n": n, "p": 1, "h": [[1, 1]],
+                                    "a": [[1, j] for j in range(1, n + 1)]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command, system", [
+        (command, system) for system in ("long_chain_path", "fan_in_path")
+        for command in ("analyze", "place", "verify")
+    ], ids=["analyze", "place", "verify", "analyze-fan_in", "place-fan_in", "verify-fan_in"])
+    def test_numeric_commands_exit_2_with_one_line(self, request, capsys, count_calls,
+                                                   command, system):
+        # The limit is checked before any theorem check or matching, so its
+        # exit 2 also wins over the fan-in's out-of-domain exit 3.
+        checks = count_calls(obspart.partition.theorem_check)
+        matchings = count_calls(obspart._kernels.hopcroft_karp)
+        assert run_cli([command, request.getfixturevalue(system)], capsys) == (
             2, "", f"obspart: error: the numeric oracle realizes at most "
                    f"{NUMERIC_STATE_LIMIT} states, got n={NUMERIC_STATE_LIMIT + 1}\n")
+        assert (len(checks), len(matchings)) == (0, 0)
 
     def test_export_dot_is_not_limited(self, long_chain_path, capsys):
         code, out, err = run_cli(["export-dot", long_chain_path], capsys)

@@ -18,7 +18,7 @@ from obspart import (
     theorem_check,
     verify_dict,
 )
-from obspart import cli, numeric, structure
+from obspart import cli, structure
 from obspart.structure import MAX_STATES
 from conftest import S
 from oracles import check_pattern_reference, system_from_dict_reference
@@ -109,6 +109,11 @@ class TestLoaderRoutes:
         ({"a": [[0, 1]], "h": [[1, 1], [1, 1]]}, "duplicate h pattern entry (1, 1)"),
         ({"a": [[True, 1]]}, "a_pattern entry (True, 1) is not a pair of integers"),
         ({"a": [[1, 2, 3]]}, '"a" entry [1, 2, 3] is not a [row, column] pair'),
+        # Past int64, so the fast check's array cannot hold the entry.
+        ({"n": 2, "p": 0, "a": [[1, 2**63]], "h": []},
+         "a_pattern entry (1, 9223372036854775808) out of range for a 2x2 pattern"),
+        ({"n": 2, "a": [], "h": [[1, -2**64]]},
+         "h_pattern entry (1, -18446744073709551616) out of range for a 1x2 pattern"),
     ])
     def test_precedence(self, changes, message):
         doc = dict(CHAIN_DOC, **changes)
@@ -123,17 +128,17 @@ class TestLoaderRoutes:
         sys, _ = load_system(path)
         graph = sys.graph
         assert (graph.bare.rows, graph.reverse) == (((0, 1), (2,), ()), ((0,), (0,), (1,)))
-        offsets = numeric._flat_offsets(sys)
+        offsets = (sys._a_keys, sys._h_keys)
         assert [o.tolist() for o in offsets] == [[0, 3, 7], [2]]
         assert (len(checks), len(flattens)) == (0, 0)
         # A system built by ``from_entries`` takes the same fast check and
         # keeps its keys; a derived one flattens its new H pattern once.
         built = S(3, 1, [(3, 2), (2, 1), (1, 1)], [(1, 3)])
         assert build_digraph(built).reverse == graph.reverse
-        assert [o.tolist() for o in numeric._flat_offsets(built)] == [[0, 3, 7], [2]]
+        assert [o.tolist() for o in (built._a_keys, built._h_keys)] == [[0, 3, 7], [2]]
         assert len(checks) == 0 and len(flattens) == 0
         grown = built.with_sensor_rows([1])
-        assert [o.tolist() for o in numeric._flat_offsets(grown)] == [[0, 3, 7], [2, 3]]
+        assert [o.tolist() for o in (grown._a_keys, grown._h_keys)] == [[0, 3, 7], [2, 3]]
         assert len(flattens) == 1
         # A system built directly checks each pattern entry by entry and
         # flattens each once, on first use.
@@ -142,8 +147,9 @@ class TestLoaderRoutes:
         assert len(checks) == 2 and len(flattens) == 1
         assert build_digraph(direct).reverse == graph.reverse
         for _ in range(2):
-            assert [o.tolist() for o in numeric._flat_offsets(direct)] == [[0, 3, 7], [2]]
+            assert [o.tolist() for o in (direct._a_keys, direct._h_keys)] == [[0, 3, 7], [2]]
         assert len(checks) == 2 and len(flattens) == 3
+
 
 
 class TestHugeN:

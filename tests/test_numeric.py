@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from obspart import (
+    MalformedInputError,
     NumericError,
     NumericRealization,
     ParameterError,
@@ -28,7 +29,6 @@ import obspart.numeric as numeric
 from obspart.numeric import (
     NUMERIC_STATE_LIMIT,
     _TRIAL_BLOCK,
-    _flat_offsets,
     _observable_bases,
     _realize_stack,
 )
@@ -99,12 +99,12 @@ class TestRealize:
     def test_kept_offsets_are_read_only(self, fix15):
         sys = fix15.with_sensor_rows([4, 9])
         realize(sys)
-        a_offsets, h_offsets = sys.memo(_flat_offsets)
+        a_offsets, h_offsets = sys._a_keys, sys._h_keys
         for offsets in (a_offsets, h_offsets):
             assert offsets.dtype == np.int64 and not offsets.flags.writeable
             with pytest.raises(ValueError):
                 offsets[0] = 0
-        assert sys.memo(_flat_offsets)[0] is a_offsets
+        assert sys._a_keys is a_offsets and sys._h_keys is h_offsets
 
     def test_parameter_validation(self, chain3):
         with pytest.raises(ParameterError, match="seed"):
@@ -626,6 +626,19 @@ class TestVerifyAlpha:
                 with pytest.raises(ParameterError, match="seed"):
                     verify_alpha_equivalence(chain, u, v, seed=seed)
 
+    @pytest.mark.parametrize("v, message", [
+        (0, "sensor state 0 out of range for n=3"),
+        (99, "sensor state 99 out of range for n=3"),
+        ("x", "sensor state 'x' is not an integer"),
+    ])
+    def test_both_states_are_checked(self, v, message):
+        # u's probe fails the structural test, which does not make v's check moot.
+        sys = S(3, 0, [(2, 1), (3, 1)])
+        for args in ((1, v), (v, 1)):
+            with pytest.raises(MalformedInputError) as exc:
+                verify_alpha_equivalence(sys, *args)
+            assert str(exc.value) == message
+
 
 class TestVerifyBeta:
     def test_cycle_members_interchangeable(self, cycle3):
@@ -691,10 +704,10 @@ class TestStructuralNumericBridge:
     def test_iterated_rank_matches_plain_stack_svd(self, sys):
         # on small systems the power stack is well conditioned, so the
         # incremental row-space rank must equal a plain SVD of the stack
-        from obspart.numeric import _svd_rank
-
         r = realize(sys)
-        stacked = _svd_rank(obs_stack(normalized_a(r.a), r.h), 1e-8)
+        stack = obs_stack(normalized_a(r.a), r.h)
+        sv = np.linalg.svd(stack, compute_uv=False) if stack.size else np.zeros(1)
+        stacked = (sv > 1e-8 * sv[0]).sum()
         assert gramian_rank(r) == stacked
 
     @given(systems(n_max=7, allow_h=False))

@@ -104,6 +104,8 @@ class TestStructuredSystem:
     @pytest.mark.parametrize("first, second, message", [
         ((3, 1), ("x", 2), "a_pattern entry (3, 1) out of range for a 2x2 pattern"),
         (("x", 2), (3, 1), "a_pattern entry ('x', 2) is not a pair of integers"),
+        ((2**70, 1), (3, 1),
+         "a_pattern entry (1180591620717411303424, 1) out of range for a 2x2 pattern"),
     ])
     def test_first_bad_entry_in_input_order_is_named(self, first, second, message):
         entries = [(1, 1), first, (2, 2), second]
