@@ -151,7 +151,6 @@ class TestLoaderRoutes:
         assert len(checks) == 2 and len(flattens) == 3
 
 
-
 class TestHugeN:
     """Keys (i - 1) * n + j - 1 must fit in int64.  Nothing here builds a
     graph: its rows alone would allocate n + 1 bounds."""

@@ -1,16 +1,13 @@
-"""Line breakdown of the ``obspart`` sources, counted with ``ast``.
+"""Line breakdown of ``src/obspart``, counted with ``ast``.
 
 A line is docstring when it lies in a module, class or function
 docstring, comment when it starts with ``#``, and blank when empty;
 every other line is code.  Run from the repository root:
 
-    python tools/src_lines.py [SRC_DIR]
-
-SRC_DIR defaults to ``src/obspart``.  Prints one line per file and a total.
+    python tools/src_lines.py
 """
 
 import ast
-import sys
 from pathlib import Path
 
 KINDS = ("code", "docstring", "comment", "blank")
@@ -30,38 +27,24 @@ def docstring_lines(tree):
     return lines
 
 
-def breakdown(text):
-    """{kind: line count} of one source file."""
-    docs = docstring_lines(ast.parse(text))
+def main():
     counts = dict.fromkeys(KINDS, 0)
-    for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if number in docs:
-            counts["docstring"] += 1
-        elif stripped.startswith("#"):
-            counts["comment"] += 1
-        elif not stripped:
-            counts["blank"] += 1
-        else:
-            counts["code"] += 1
-    return counts
-
-
-def summary(counts):
-    return (f"{sum(counts.values())} lines, "
-            + ", ".join(f"{counts[kind]} {kind}" for kind in KINDS))
-
-
-def main(argv):
-    root = Path(argv[1] if len(argv) > 1 else "src/obspart")
-    total = dict.fromkeys(KINDS, 0)
-    for path in sorted(root.rglob("*.py")):
-        counts = breakdown(path.read_text(encoding="utf-8"))
-        for kind in KINDS:
-            total[kind] += counts[kind]
-        print(f"{path}: {summary(counts)}")
-    print(f"total: {summary(total)}")
+    for path in sorted(Path("src/obspart").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        docs = docstring_lines(ast.parse(text))
+        for number, line in enumerate(text.splitlines(), start=1):
+            stripped = line.strip()
+            if number in docs:
+                counts["docstring"] += 1
+            elif stripped.startswith("#"):
+                counts["comment"] += 1
+            elif not stripped:
+                counts["blank"] += 1
+            else:
+                counts["code"] += 1
+    print(f"{sum(counts.values())} lines, "
+          + ", ".join(f"{counts[kind]} {kind}" for kind in KINDS))
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    main()
