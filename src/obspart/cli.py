@@ -167,7 +167,7 @@ def cmd_report(args):
     system, names = _load(args.path)
     forbidden = _parse_forbid(args.forbid, system.n)
     check_state_limit(system)
-    check = theorem_check(system)
+    check = system.memo(theorem_check)
     part = partition_report(system, forbid=forbidden,
                             all_witnesses=args.all_witnesses)
     rank = rank_report(system, seed=seed, trials=args.trials, tol=args.tol)
@@ -184,7 +184,7 @@ def cmd_verify(args):
     seed = _seed_of(args)
     system, _ = _load(args.path)
     check_state_limit(system)
-    check = theorem_check(system)
+    check = system.memo(theorem_check)
     rank = rank_report(system, seed=seed, trials=args.trials, tol=args.tol)
     doc = verify_dict(system, check, rank, seed)
     _write(render_report(doc), args.out)

@@ -45,7 +45,7 @@ def system_from_dict(doc):
             raise MalformedInputError(f'"{key}" must be an integer')
     sys = _plain_system(doc["n"], doc["p"], doc["a"], doc["h"], {list})
     if sys is None:
-        sys = StructuredSystem.from_entries(
+        sys = StructuredSystem._checked(
             doc["n"], doc["p"], _entry_list(doc["a"], "a"), _entry_list(doc["h"], "h")
         )
     names = None

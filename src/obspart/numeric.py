@@ -143,17 +143,14 @@ def _observable_bases(a, h, tol):
     a lone call, so every basis is bitwise the one of a trial grown alone.
     """
     trials, n = a.shape[0], a.shape[1]
-    scale = np.abs(a).sum(axis=2).max(axis=1)
+    scale = np.abs(a).sum(axis=2).max(axis=1, initial=0.0)
     a /= np.where(scale > 0, scale, 1.0)[:, None, None]
     basis = np.empty((trials, n, n))
-    counts = np.zeros(trials, dtype=np.int64)
-    frontier = np.zeros(trials, dtype=np.int64)
-    live = np.flatnonzero(h.any(axis=(1, 2)))
-    if live.size:
-        _, sv, vt = np.linalg.svd(h[live], full_matrices=False)
-        kept = (sv > tol * sv[:, :1]).sum(axis=1)
-        basis[live, :vt.shape[1]] = vt
-        counts[live] = frontier[live] = kept
+    # An all-zero or zero-row H keeps no direction: no sv passes tol * 0.
+    _, sv, vt = np.linalg.svd(h, full_matrices=False)
+    basis[:, :vt.shape[1]] = vt
+    counts = (sv > tol * sv[:, :1]).sum(axis=1)
+    frontier = counts.copy()
     while True:
         groups = {}
         for t, (r, f) in enumerate(zip(counts.tolist(), frontier.tolist())):
@@ -178,18 +175,30 @@ def _observable_bases(a, h, tol):
 
 def _trial_ranks(sys, seed, trials, tol):
     """Observability rank of each of trials 0..trials-1, with trial 0's
-    realization and basis."""
+    realization and basis.
+
+    Every row of [H; HA; ...] is zero on the inaccessible states, so the
+    bases grow on the accessible block of A and H alone, where rounding
+    cannot leak into those columns; trial 0's basis is then put back into
+    n columns."""
     _check_trials(trials)
     _check_tol(tol)
     _check_nonnegative("seed", seed)
+    check_state_limit(sys)
+    inaccessible = sys.memo(theorem_check).inaccessible
+    accessible = (np.delete(np.arange(sys.n), np.subtract(inaccessible, 1))
+                  if inaccessible else slice(None))
     ranks = []
     for start in range(0, trials, _TRIAL_BLOCK):
         a, h = _realize_stack(sys, seed, range(start, min(start + _TRIAL_BLOCK, trials)))
         if start == 0:
             first = NumericRealization(a=a[0].copy(), h=h[0], seed=seed, trial=0)
+        if inaccessible:
+            a, h = a[:, accessible[:, None], accessible], h[:, :, accessible]
         basis, counts = _observable_bases(a, h, tol)
         if start == 0:
-            first_basis = basis[0, :counts[0]].copy()
+            first_basis = np.zeros((counts[0], sys.n))
+            first_basis[:, accessible] = basis[0, :counts[0]]
         ranks += counts.tolist()
     return ranks, first, first_basis
 
@@ -376,5 +385,5 @@ def generic_agreement(sys, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, tol=DEFAULT
     """Fraction of realizations whose full-rank verdict matches the
     structural test."""
     ranks, _, _ = _trial_ranks(sys, seed, trials, tol)
-    structural = theorem_check(sys).observable
+    structural = sys.memo(theorem_check).observable
     return sum((rank == sys.n) == structural for rank in ranks) / trials

@@ -138,11 +138,17 @@ class StructuredSystem:
         """Build a system from entry lists, rejecting duplicates.
 
         File parsers come through here: a repeated (i, j) pair is a sign
-        of a malformed input rather than something to merge silently.
+        of a malformed input rather than something to merge silently.  The
+        JSON loader runs the fast check on its own lists and hands what
+        fails it to ``_checked`` directly.
         """
-        system = _plain_system(n, p, a_entries, h_entries, {list, tuple})
-        if system is not None:
-            return system
+        return (_plain_system(n, p, a_entries, h_entries, {list, tuple})
+                or cls._checked(n, p, a_entries, h_entries))
+
+    @classmethod
+    def _checked(cls, n, p, a_entries, h_entries):
+        """``from_entries`` for entries that failed the fast check: the
+        first repeated entry, then the constructor, name what is wrong."""
         patterns = []
         for name, entries in (("a", a_entries), ("h", h_entries)):
             entries = _as_tuples(entries)

@@ -283,6 +283,18 @@ class TestVerify:
         ranks = json.loads(out)["rank"]["gramian_ranks"]
         assert len(ranks) == 5 and all(r <= 3 for r in ranks)
 
+    def test_the_oracle_reads_the_kept_theorem_check(self, tmp_path, capsys, count_calls):
+        # measured at its source, the chain's states 2 and 3 are
+        # inaccessible: the oracle slices them off with the split the
+        # CLI has already computed
+        path = tmp_path / "source.json"
+        path.write_text(json.dumps(dict(CHAIN_DOC, h=[[1, 1]])))
+        checks = count_calls(obspart.partition.theorem_check)
+        code, out, _ = run_cli(["verify", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["rank"]["gramian_ranks"] == [1] * 5
+        assert len(checks) == 1
+
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol(self, chain_path, capsys, tol):
         code, out, err = run_cli(["verify", chain_path, "--tol", tol], capsys)

@@ -120,6 +120,17 @@ class TestLoaderRoutes:
         assert _outcome(system_from_dict, doc) == (MalformedInputError, message)
         assert _outcome(system_from_dict_reference, doc) == (MalformedInputError, message)
 
+    @pytest.mark.parametrize("changes, fast_checks", [
+        ({"a": [[2, 1], [3, 2], [True, 2]]}, 1),  # "a" fails, "h" is never reached
+        ({"h": [[1, 3], [1, 2**63]]}, 2),         # "a" passes, "h" fails
+    ])
+    def test_a_failed_fast_check_is_not_run_again(self, changes, fast_checks, count_calls):
+        doc = dict(CHAIN_DOC, **changes)
+        calls = count_calls(structure._plain_pairs)
+        with pytest.raises(MalformedInputError):
+            system_from_dict(doc)
+        assert len(calls) == fast_checks
+
     def test_a_valid_file_is_checked_once_and_never_flattened(self, tmp_path, count_calls):
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(dict(CHAIN_DOC, a=[[3, 2], [2, 1], [1, 1]])))

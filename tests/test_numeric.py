@@ -22,6 +22,7 @@ from obspart import (
     rank_report,
     realize,
     s_rank,
+    theorem_check,
     verify_alpha_equivalence,
     verify_beta_equivalence,
 )
@@ -169,6 +170,23 @@ class TestGramianRank:
         exact = exact_krylov_rank(sys.n, sys.sorted_a(), sys.sorted_h())
         assert exact == 87
         assert rank_report(sys).gramian_ranks == (exact,) * 5
+
+    @pytest.mark.parametrize("seed, n, sensors, exact", [
+        (19, 130, 6, 67),
+        (36, 100, 4, 61),
+    ])
+    def test_no_overcount_past_the_accessible_states(self, seed, n, sensors, exact):
+        # Grown on all n states, rounding leaked into the inaccessible
+        # columns: every trial read 76 and 69 here.
+        sys = block_chain(np.random.default_rng(seed), n, sensors)
+        assert exact_krylov_rank(sys.n, sys.sorted_a(), sys.sorted_h()) == exact
+        assert rank_report(sys).gramian_ranks == (exact,) * 5
+
+    @given(systems(), st.lists(st.integers(1, 8), max_size=3))
+    def test_rank_never_exceeds_the_accessible_states(self, sys, sensors):
+        for system in (sys, sys.with_sensor_rows([min(s, sys.n) for s in sensors])):
+            accessible = system.n - len(theorem_check(system).inaccessible)
+            assert max(rank_report(system, trials=3).gramian_ranks) <= accessible
 
     def test_scale_invariance(self, chain3):
         r = realize(chain3)
