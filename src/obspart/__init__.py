@@ -71,7 +71,6 @@ from .scc import (
 )
 from .structure import (
     StructuredSystem,
-    SystemGraph,
     build_digraph,
 )
 
@@ -100,7 +99,6 @@ __all__ = [
     "RankReport",
     "SccDecomposition",
     "StructuredSystem",
-    "SystemGraph",
     "TheoremCheck",
     "accessibility_check",
     "block_form_certificate",

@@ -3,7 +3,7 @@ the matching, the components and the multi-source search.
 
 A graph is passed as ``rows``: one sequence of neighbor ids per node,
 sorted ascending, which makes matching tie-breaks deterministic.  The
-kernels loop over a SystemGraph's tuples of plain ints as they are, with
+kernels loop over a system's kept tuples of plain ints as they are, with
 no copy and no numpy scalar boxed per access.  No kernel writes to its
 arguments, and each one documents the types it returns.
 """

@@ -8,7 +8,6 @@ bytes.
 from .errors import ParameterError
 from .partition import equivalence_classes, rank_classes
 from .scc import decompose
-from .structure import build_digraph
 
 PALETTE = (
     "orange",
@@ -28,7 +27,7 @@ COLOR_MODES = ("alpha", "beta", "scc")
 
 def _fills(sys, color_by):
     if color_by == "scc":
-        groups = decompose(build_digraph(sys)).components
+        groups = decompose(sys).components
     elif color_by == "alpha":
         groups = rank_classes(sys)
     else:
@@ -45,6 +44,11 @@ def export_dot(sys, color_by="alpha", names=None):
             f"color_by must be one of {', '.join(COLOR_MODES)}, got {color_by!r}"
         )
     if names is not None:
+        try:
+            names = tuple(names)
+        except TypeError:
+            raise ParameterError(
+                f"names must be a sequence of strings, got {names!r}") from None
         if len(names) != sys.n:
             raise ParameterError(f"names must list all {sys.n} states")
         for state, name in enumerate(names, start=1):
@@ -70,7 +74,7 @@ def export_dot(sys, color_by="alpha", names=None):
     # label ends in a quote, which sorts before any label character.
     lines.extend(sorted(
         f'  {quoted[b]} -> {quoted[e]};'
-        for b, row in enumerate(build_digraph(sys).rows) for e in row
+        for b, row in enumerate(sys.rows) for e in row
     ))
     lines.append("}\n")
     return "\n".join(lines)

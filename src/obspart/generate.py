@@ -3,7 +3,7 @@ caller's Generator: arcs tied to a per-state density, self-loops allowed,
 sensors as dedicated rows on distinct states."""
 
 from .errors import DegenerateStructureError, ParameterError
-from .matching import system_contractions
+from .matching import contractions
 from .structure import StructuredSystem
 
 
@@ -32,7 +32,7 @@ def random_partitionable_system(rng, n_lo=3, n_hi=10, density_lo=1.5,
     for _ in range(attempts):
         sys = random_system(rng, n_lo, n_hi, density_lo, density_hi, p_lo, p_hi)
         try:
-            system_contractions(sys.without_measurements())
+            contractions(sys.without_measurements())
         except DegenerateStructureError:
             continue
         return sys

@@ -1,6 +1,7 @@
 """Maximum matchings, structural rank, and the rank classes (contractions).
 
-The README's "Graph core" section says how one search along alternating
+Each function reads the matching and rows the given system keeps.  The
+README's "Graph core" section says how one search along alternating
 paths of a maximum matching finds every rank class.
 """
 
@@ -8,11 +9,11 @@ from dataclasses import dataclass
 
 from ._kernels import search
 from .errors import DegenerateStructureError
-from .structure import build_digraph
+
 
 @dataclass(frozen=True)
 class Matching:
-    """A matching on a SystemGraph, edges in (begin, end) lexical order."""
+    """A matching on a system's graph, edges in (begin, end) lexical order."""
 
     edges: tuple
     unmatched_begin: tuple  # begin state numbers with no matched edge
@@ -22,9 +23,9 @@ class Matching:
         return len(self.edges)
 
 
-def maximum_matching(bg):
+def maximum_matching(sys):
     """Deterministic maximum matching (Hopcroft-Karp over sorted adjacency)."""
-    match_begin, _ = bg.matching
+    match_begin, _ = sys.matching
     edges = []
     unmatched = []
     for b, e in enumerate(match_begin, start=1):
@@ -37,8 +38,7 @@ def maximum_matching(bg):
 
 def s_rank(sys, include_h=False):
     """Structural rank of A, or of the stacked [A; H] with ``include_h``."""
-    graph = build_digraph(sys if include_h else sys.without_measurements())
-    match_begin, _ = graph.matching
+    match_begin, _ = (sys if include_h else sys.without_measurements()).matching
     return len(match_begin) - match_begin.count(-1)
 
 
@@ -50,22 +50,23 @@ class Contraction:
     members: tuple          # ascending state numbers
 
 
-def contractions(bg):
-    """The rank classes: the connected parts of the graph's Dulmage-Mendelsohn
-    horizontal block, one per unmatched begin, sorted by lowest member.
+def contractions(sys):
+    """The rank classes: the connected parts of the system graph's
+    Dulmage-Mendelsohn horizontal block, one per unmatched begin, sorted
+    by lowest member.
 
     A part short by two or more nodes leaves no decomposition with one
     class per deficit, so that raises DegenerateStructureError rather than
     being guessed around.
     """
-    match_begin, match_end = bg.matching
+    match_begin, match_end = sys.matching
     # Stepping via match_end turns each end into the begin matched to it,
     # so the search goes from begin to begin.  It never reads a -1: every
     # row it scans lies on an alternating path from an unmatched begin,
     # and an unmatched end there would be an augmenting path, which a
     # maximum matching leaves none of.
     owner, clashes = search(
-        bg.rows, [u if e < 0 else -1 for u, e in enumerate(match_begin)],
+        sys.rows, [u if e < 0 else -1 for u, e in enumerate(match_begin)],
         via=match_end)
     # States come in ascending order, so each seed first appears at its
     # lowest member and the classes come out sorted.
@@ -104,5 +105,5 @@ def _degenerate(members, clashes):
 
 
 def system_contractions(sys):
-    """Pipeline convenience: contractions of a system's graph."""
-    return contractions(build_digraph(sys))
+    """Pipeline convenience: ``contractions(sys)``."""
+    return contractions(sys)

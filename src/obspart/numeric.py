@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NumericError, ParameterError, PreconditionError
 from .matching import s_rank
 from .partition import theorem_check
+from .structure import _tuple_of
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 5
@@ -369,7 +370,7 @@ def verify_beta_equivalence(
     """
     _check_trials(trials)
     _check_tol(tol)
-    h_alpha = list(h_alpha)
+    h_alpha = _tuple_of("h_alpha", h_alpha)
     base_sys = sys.without_measurements().with_sensor_rows(h_alpha)
     rank_u, rank_v, rank_uv = (
         modal_gramian_rank(base_sys.with_sensor_rows(extra), seed, trials, tol)[0]

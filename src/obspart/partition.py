@@ -5,7 +5,7 @@ families, the placement that hits each class once, and the row labels.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from ._kernels import hopcroft_karp
 from .errors import (
@@ -15,9 +15,9 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .matching import s_rank, system_contractions
+from .matching import contractions, s_rank
 from .scc import accessibility_check, decompose
-from .structure import _check_index, _check_int, build_digraph
+from .structure import _check_index, _check_int, _tuple_of
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -52,7 +52,7 @@ def theorem_check(sys):
     When both conditions fail, accessibility is the reported reason —
     it is the cheaper one to explain and to fix.
     """
-    _, inaccessible = accessibility_check(build_digraph(sys))
+    _, inaccessible = accessibility_check(sys)
     rank = s_rank(sys, include_h=True)
     if inaccessible:
         failed = "accessibility"
@@ -89,11 +89,11 @@ def rank_classes(sys):
 
 
 def _rank_classes(bare):
-    return tuple(c.members for c in system_contractions(bare))
+    return tuple(c.members for c in contractions(bare))
 
 
 def _access_classes(bare):
-    dec = decompose(build_digraph(bare))
+    dec = decompose(bare)
     comp = dec.comp
     held = {comp[cls[0] - 1] for cls in rank_classes(bare)
             if len({comp[s - 1] for s in cls}) == 1}
@@ -102,13 +102,23 @@ def _access_classes(bare):
 
 
 def _normalize_classes(classes, family):
+    what = f"{family} class"
+    classes = [_tuple_of(what, cls) for cls in _tuple_of(f"{family} classes", classes)]
+    states = list(chain.from_iterable(classes))
+    # One C-level type test per family; only a failing family is walked,
+    # to name its bad state.
+    if not set(map(type, states)) <= {int}:
+        for state in states:
+            _check_int(f"{what} state", state)
+    if states and min(states) < 1:
+        raise MalformedInputError(f"{what} state {min(states)} is below 1")
     out = []
     for cls in classes:
         members = tuple(sorted(set(cls)))
         if not members:
             raise InfeasiblePlacementError(
-                f"empty {family} class leaves nothing to place a sensor on",
-                empty_class=tuple(cls),
+                f"empty {what} leaves nothing to place a sensor on",
+                empty_class=(),
             )
         out.append(members)
     out.sort()
@@ -130,7 +140,7 @@ def forbid_states(alpha_classes, beta_classes, forbidden):
     type is checked: the range check needs n, which ``partition_report``
     has and checks.
     """
-    forbidden = tuple(forbidden)
+    forbidden = _tuple_of("forbidden states", forbidden)
     for state in forbidden:
         _check_int("forbidden state", state)
     forbidden = set(forbidden)
@@ -193,6 +203,8 @@ def minimal_placement(alpha_classes, beta_classes, *, sys=None, all_witnesses=Fa
     (lowest-index tie-breaks throughout) or every minimal placement when
     ``all_witnesses`` is set.  When ``sys`` is given, each returned set
     is verified to make the bare state pattern generically observable.
+    A class that is no collection of ints of at least 1 raises
+    ``MalformedInputError``.
     """
     alpha = _normalize_classes(alpha_classes, "alpha")
     beta = _normalize_classes(beta_classes, "beta")
@@ -272,7 +284,7 @@ def is_necessary(sys, row):
 
 def partition_report(sys, forbid=(), all_witnesses=False):
     """Full structural report: classes, row labels, minimal placements."""
-    forbid = tuple(forbid)
+    forbid = _tuple_of("forbid", forbid)
     for state in forbid:
         _check_index("forbidden state", state, "n", sys.n)
     classes = equivalence_classes(sys)

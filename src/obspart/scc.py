@@ -10,7 +10,6 @@ from itertools import compress
 
 from ._kernels import search, tarjan_scc
 from .errors import InconsistencyError, PreconditionError
-from .structure import build_digraph
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,7 @@ class SccDecomposition:
     components: tuple    # tuples of ascending state numbers, sorted by lowest member
     parent_flags: tuple  # bool per component: no arc into another component
     comp: tuple = field(repr=False, compare=False)  # component index per state, 0-based
-    rows: tuple = field(repr=False, compare=False)  # the bare graph's state rows
+    rows: tuple = field(repr=False, compare=False)  # the bare system's state rows
 
     @cached_property
     def order(self):
@@ -42,9 +41,9 @@ class SccDecomposition:
         return tuple(i for i, flag in enumerate(self.parent_flags) if flag)
 
 
-def decompose(dg):
-    """SCC decomposition of the state part of a system graph."""
-    rows = dg.bare.rows
+def decompose(sys):
+    """SCC decomposition of the state part of a system's graph."""
+    rows = sys.without_measurements().rows
     comp_raw, n_comp, exits = tarjan_scc(rows)
 
     # States are scanned in ascending order, so each group lists its states
@@ -62,7 +61,7 @@ def decompose(dg):
     )
 
 
-def accessibility_check(dg):
+def accessibility_check(sys):
     """Split the states by whether a directed path reaches a measurement.
 
     Returns ``(accessible, inaccessible)``, both ascending tuples.  A
@@ -70,11 +69,11 @@ def accessibility_check(dg):
     whose row ends with a measurement end, so one search runs from the
     measured states over the reversed state arcs.
     """
-    n = dg.n
-    if dg.p == 0:
+    n = sys.n
+    if sys.p == 0:
         return (), tuple(range(1, n + 1))
-    labels, _ = search(dg.reverse,
-                       [0 if row and row[-1] >= n else -1 for row in dg.rows])
+    labels, _ = search(sys.reverse,
+                       [0 if row and row[-1] >= n else -1 for row in sys.rows])
     states = range(1, n + 1)
     return (tuple(compress(states, map((0).__eq__, labels))),
             tuple(compress(states, labels)))
@@ -88,7 +87,7 @@ def block_form_certificate(sys):
     structurally zero.  Both zero blocks are verified entry by entry
     before returning.
     """
-    accessible, inaccessible = accessibility_check(build_digraph(sys))
+    accessible, inaccessible = accessibility_check(sys)
     if not inaccessible:
         raise PreconditionError("system has no inaccessible states")
     inacc = set(inaccessible)

@@ -1,8 +1,9 @@
-"""Sparsity patterns and the one integer graph built from them.
+"""Sparsity patterns, each one its own integer graph.
 
 A system is described purely by which entries of A (n x n) and H (p x n)
 may be nonzero, as 1-based (row, column) pairs.  The README's "Graph
-core" section describes the ``SystemGraph`` every structural layer reads.
+core" section describes the rows, matching and reverse a system keeps,
+which every structural layer reads.
 """
 
 from dataclasses import dataclass, field
@@ -58,10 +59,11 @@ def _plain_system(n, p, a, h, kinds):
             return None
         flats.append(flat)
         patterns.append(pattern)
-    system = _unchecked(n, p, *patterns)
-    system.without_measurements().__dict__["_a_keys"] = _sorted_keys(flats[0], n)
-    system.__dict__["_h_keys"] = _sorted_keys(flats[1], n)
-    return system
+    a_keys, h_keys = (_sorted_keys(flat, n) for flat in flats)
+    if p == 0:
+        return _unchecked(n, 0, *patterns, _a_keys=a_keys, _h_keys=h_keys)
+    bare = _unchecked(n, 0, patterns[0], frozenset(), _a_keys=a_keys)
+    return _unchecked(n, p, *patterns, _bare=bare, _h_keys=h_keys)
 
 
 def _plain_pairs(pattern, kinds, n_rows, n_cols):
@@ -89,6 +91,14 @@ def _plain_pairs(pattern, kinds, n_rows, n_cols):
     return None
 
 
+def _tuple_of(what, values):
+    """``values`` as a tuple; a non-iterable raises ``MalformedInputError``."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise MalformedInputError(f"{what} must be an iterable, got {values!r}") from None
+
+
 def _check_int(what, value):
     """Reject a bool or a non-int."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -104,7 +114,12 @@ def _check_index(what, value, bound_name, bound):
 
 @dataclass(frozen=True)
 class StructuredSystem:
-    """Sparsity pattern of an LTI pair (A, H); values are never stored."""
+    """Sparsity pattern of an LTI pair (A, H); values are never stored.
+
+    The pattern is also the system's graph: ``rows``, ``matching`` and
+    ``reverse`` are built on first use and kept, since a system is
+    immutable.
+    """
 
     n: int
     p: int
@@ -182,7 +197,7 @@ class StructuredSystem:
     def with_sensor_rows(self, states):
         """Append one single-state measurement row per listed state."""
         extra = []
-        for k, s in enumerate(states):
+        for k, s in enumerate(_tuple_of("sensor states", states)):
             _check_index("sensor state", s, "n", self.n)
             extra.append((self.p + k + 1, s))
         return self._derived(self.p + len(extra), self.h_pattern.union(extra))
@@ -213,9 +228,7 @@ class StructuredSystem:
         bare = self.without_measurements()
         if p == 0:
             return bare
-        derived = _unchecked(self.n, p, self.a_pattern, h_pattern)
-        derived.__dict__["_bare"] = bare
-        return derived
+        return _unchecked(self.n, p, self.a_pattern, h_pattern, _bare=bare)
 
     def memo(self, compute):
         """``compute(self)``, worked out once per system and kept with it.
@@ -227,26 +240,51 @@ class StructuredSystem:
             memo[compute] = compute(self)
         return memo[compute]
 
+    @property
+    def n_end(self):
+        return self.n + self.p
+
+    @property
+    def edges(self):
+        """The 1-based (state, end) pairs in lexical order."""
+        return tuple((u, v + 1) for u, row in enumerate(self.rows, start=1)
+                     for v in row)
+
     @cached_property
-    def graph(self):
-        """The system's SystemGraph, built on first use; a system with rows
-        extends its bare graph's rows with its own measurement ends."""
+    def rows(self):
+        """``rows[u]`` is a tuple of state u's 0-based ends, ascending: its
+        state ends, then its measurement ends n..n+p-1.  A system with rows
+        extends its bare system's rows with its own measurement ends."""
         n = self.n
         if self.p == 0:
             keys = self._a_keys
             # Entry (i, j) is the pair (j - 1, i - 1), keyed (j - 1) * n + i - 1.
-            graph = SystemGraph(n=n, p=0, rows=_rows(n, keys % n * n + keys // n))
-            graph.__dict__["_a_keys"] = keys
-            return graph
-        bare = self._bare.graph
+            return _rows(n, keys % n * n + keys // n)
         measured = {}
         for i, j in self.h_pattern:
             measured.setdefault(j - 1, []).append(n + i - 1)
-        rows = list(bare.rows)
+        rows = list(self._bare.rows)
         for state, ends in measured.items():
             # Measurement ends follow every state end, so the row stays sorted.
             rows[state] += tuple(sorted(ends))
-        return SystemGraph(n=n, p=self.p, rows=tuple(rows), base=bare)
+        return tuple(rows)
+
+    @cached_property
+    def matching(self):
+        """(match_begin, match_end) tuples of a maximum matching, found once:
+        from the empty one for a bare system, else from its bare system's."""
+        start = None if self.p == 0 else self._bare.matching[0]
+        return hopcroft_karp(self.rows, self.n_end, start=start)
+
+    @cached_property
+    def reverse(self):
+        """The state arcs reversed: ``reverse[v]`` lists, ascending, the
+        states with an arc into state v.  Built by the bare system and
+        shared by every system derived from it."""
+        if self.p:
+            return self._bare.reverse
+        # Entry (i, j) is the reversed arc (i - 1, j - 1): its key is the row key.
+        return _rows(self.n, self._a_keys)
 
     @cached_property
     def _a_keys(self):
@@ -305,71 +343,18 @@ def _rows(n, keys):
     return tuple([ends[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
 
 
-def _unchecked(n, p, a_pattern, h_pattern):
-    """A system from already validated parts, skipping ``__post_init__``."""
+def _unchecked(n, p, a_pattern, h_pattern, **cached):
+    """A system from already validated parts, skipping ``__post_init__``;
+    ``cached`` holds the values of cached properties the caller has."""
     system = object.__new__(StructuredSystem)
     for name, value in (("n", n), ("p", p),
                         ("a_pattern", a_pattern), ("h_pattern", h_pattern)):
         object.__setattr__(system, name, value)
+    system.__dict__.update(cached)
     return system
 
 
-@dataclass(frozen=True, eq=False)
-class SystemGraph:
-    """The pairs of [A; H] as rows, shared by every structural layer.
-
-    ``rows[u]`` is a tuple of state u's 0-based ends, ascending: its state
-    ends, then its measurement ends n..n+p-1.  ``base`` is the bare graph
-    whose rows these extend, None for a bare graph.  Only tuples are kept,
-    because a graph lives as long as its system.
-    """
-
-    n: int
-    p: int
-    rows: tuple
-    base: "SystemGraph | None" = field(default=None, repr=False)
-
-    @property
-    def n_end(self):
-        return self.n + self.p
-
-    @property
-    def bare(self):
-        """The graph of the bare system: ``base``, or this graph itself."""
-        return self if self.base is None else self.base
-
-    @property
-    def edges(self):
-        """The 1-based (state, end) pairs in lexical order."""
-        return tuple((u, v + 1) for u, row in enumerate(self.rows, start=1)
-                     for v in row)
-
-    @cached_property
-    def matching(self):
-        """(match_begin, match_end) tuples of a maximum matching, found once:
-        from the empty one for a bare graph, else from the bare graph's."""
-        start = None if self.base is None else self.base.matching[0]
-        return hopcroft_karp(self.rows, self.n_end, start=start)
-
-    @cached_property
-    def reverse(self):
-        """The state arcs reversed: ``reverse[v]`` lists, ascending, the
-        states with an arc into state v.  Kept by the bare graph only."""
-        if self.base is not None:
-            return self.base.reverse
-        # Entry (i, j) is the reversed arc (i - 1, j - 1): its key is the row key.
-        return _rows(self.n, self._a_keys)
-
-    @cached_property
-    def _a_keys(self):
-        """The bare A entries' keys, as the system keeps them.  The system
-        that builds a bare graph hands it its own; only a graph built by
-        hand reads them off its rows."""
-        return np.array([(end - 1) * self.n + state - 1
-                         for state, end in self.edges if end <= self.n], np.int64)
-
-
 def build_digraph(sys):
-    """The system's graph: one pair per pattern entry, built once."""
-    return sys.graph
-
+    """The system itself, whose rows are its graph: one pair per pattern
+    entry, built once."""
+    return sys

@@ -85,6 +85,11 @@ class TestExportDot:
         with pytest.raises(ParameterError, match="names must list all 3"):
             export_dot(chain3, names=["a", "b"])
 
+    def test_names_must_be_iterable(self, chain3):
+        with pytest.raises(ParameterError) as exc:
+            export_dot(chain3, names=5)
+        assert str(exc.value) == "names must be a sequence of strings, got 5"
+
     @pytest.mark.parametrize("names, bad", [
         ([1, 2, 3], "state 1 must be a string, got 1"),
         (["a", None, "c"], "state 2 must be a string, got None"),

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from obspart import (
     MalformedInputError,
     StructuredSystem,
-    build_digraph,
     load_matrix_market,
     load_system,
     partition_report,
@@ -137,15 +136,15 @@ class TestLoaderRoutes:
         checks = count_calls(structure._check_pattern)
         flattens = count_calls(structure._flat_entries)
         sys, _ = load_system(path)
-        graph = sys.graph
-        assert (graph.bare.rows, graph.reverse) == (((0, 1), (2,), ()), ((0,), (0,), (1,)))
+        assert (sys.without_measurements().rows, sys.reverse) == (
+            ((0, 1), (2,), ()), ((0,), (0,), (1,)))
         offsets = (sys._a_keys, sys._h_keys)
         assert [o.tolist() for o in offsets] == [[0, 3, 7], [2]]
         assert (len(checks), len(flattens)) == (0, 0)
         # A system built by ``from_entries`` takes the same fast check and
         # keeps its keys; a derived one flattens its new H pattern once.
         built = S(3, 1, [(3, 2), (2, 1), (1, 1)], [(1, 3)])
-        assert build_digraph(built).reverse == graph.reverse
+        assert built.reverse == sys.reverse
         assert [o.tolist() for o in (built._a_keys, built._h_keys)] == [[0, 3, 7], [2]]
         assert len(checks) == 0 and len(flattens) == 0
         grown = built.with_sensor_rows([1])
@@ -156,7 +155,7 @@ class TestLoaderRoutes:
         direct = StructuredSystem(n=3, p=1, a_pattern={(3, 2), (2, 1), (1, 1)},
                                   h_pattern=[(1, 3)])
         assert len(checks) == 2 and len(flattens) == 1
-        assert build_digraph(direct).reverse == graph.reverse
+        assert direct.reverse == sys.reverse
         for _ in range(2):
             assert [o.tolist() for o in (direct._a_keys, direct._h_keys)] == [[0, 3, 7], [2]]
         assert len(checks) == 2 and len(flattens) == 3

@@ -91,7 +91,7 @@ def is_int_tuple(values):
 
 
 class TestSystemGraphArrays:
-    """Every layer hands the kernels a SystemGraph's immutable rows."""
+    """Every layer hands the kernels a system's immutable rows."""
 
     @pytest.fixture
     def graph(self):
@@ -99,12 +99,11 @@ class TestSystemGraphArrays:
             n=4, p=0,
             a_pattern=frozenset({(2, 1), (3, 2), (1, 3), (4, 4), (4, 3)}),
         )
-        g = sys.graph
-        assert type(g.rows) is tuple and all(map(is_int_tuple, g.rows))
-        # A system with rows shares every unmeasured row with its bare graph.
-        measured = sys.with_sensor_rows([2]).graph
-        assert [m is b for m, b in zip(measured.rows, g.rows)] == [True, False, True, True]
-        return g
+        assert type(sys.rows) is tuple and all(map(is_int_tuple, sys.rows))
+        # A system with rows shares every unmeasured row with its bare system.
+        measured = sys.with_sensor_rows([2])
+        assert [m is b for m, b in zip(measured.rows, sys.rows)] == [True, False, True, True]
+        return sys
 
     def test_hopcroft_karp(self, graph):
         match_begin, match_end = K.hopcroft_karp(graph.rows, graph.n_end)
@@ -133,17 +132,17 @@ class TestCsr:
 
     def test_basic_shape(self):
         # Pairs (0, 1), (0, 2) and (2, 0): A entry (i, j) is the pair (j-1, i-1).
-        g = StructuredSystem(n=3, p=0, a_pattern=[(2, 1), (3, 1), (1, 3)]).graph
+        g = StructuredSystem(n=3, p=0, a_pattern=[(2, 1), (3, 1), (1, 3)])
         assert g.rows == ((1, 2), (), (0,))
 
     def test_orders_lexically(self):
         # Pairs (1, 1), (0, 2), (1, 0), (0, 1); end 2 is measurement 1.
         g = StructuredSystem(n=2, p=1, a_pattern=[(2, 2), (1, 2), (2, 1)],
-                             h_pattern=[(1, 1)]).graph
+                             h_pattern=[(1, 1)])
         assert g.rows == ((1, 2), (0, 1))
 
     def test_empty(self):
-        g = StructuredSystem(n=2, p=0).graph
+        g = StructuredSystem(n=2, p=0)
         assert g.rows == ((), ())
 
 
@@ -220,7 +219,7 @@ class TestWarmStart:
 
     @given(systems(), st.lists(st.integers(1, 8), max_size=3))
     def test_same_size_as_cold_start(self, sys, sensors):
-        bare = sys.without_measurements().graph
+        bare = sys.without_measurements()
         start, start_end = K.hopcroft_karp(bare.rows, bare.n)
 
         comp, _, _ = K.tarjan_scc(bare.rows)
@@ -229,9 +228,9 @@ class TestWarmStart:
         intra_start = tuple(e if e >= 0 and comp[e] == comp[u] else -1
                             for u, e in enumerate(start))
         plus_sensors = sys.without_measurements().with_sensor_rows(
-            [s for s in sensors if s <= sys.n]).graph
+            [s for s in sensors if s <= sys.n])
         graphs = [
-            (sys.graph.rows, sys.n + sys.p, start),
+            (sys.rows, sys.n + sys.p, start),
             (plus_sensors.rows, plus_sensors.n_end, start),
             (intra, sys.n, intra_start),
             (bare.rows, bare.n, start),

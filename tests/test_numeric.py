@@ -676,6 +676,11 @@ class TestVerifyBeta:
         sys = S(4, 0, [(2, 1), (3, 2), (4, 4)])
         assert verify_beta_equivalence(sys, [3], 4, 4)
 
+    def test_non_iterable_base_rejected(self, cycle3):
+        with pytest.raises(MalformedInputError) as exc:
+            verify_beta_equivalence(cycle3, 5, 1, 2)
+        assert str(exc.value) == "h_alpha must be an iterable, got 5"
+
     def test_multi_state_class_fails_the_unit_increment_anchor(self):
         # a two-state loop reveals both of its states at once, so the
         # exactly-one increment over a nonempty base cannot hold even for

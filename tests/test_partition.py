@@ -140,6 +140,21 @@ class TestMinimalPlacement:
         with pytest.raises(InfeasiblePlacementError):
             minimal_placement(((),), ())
 
+    @pytest.mark.parametrize("alpha, message", [
+        ([(0,)], "alpha class state 0 is below 1"),
+        ([(2, -1)], "alpha class state -1 is below 1"),
+        ([(True,)], "alpha class state True is not an integer"),
+        ([(1, "a")], "alpha class state 'a' is not an integer"),
+        ([(1, True)], "alpha class state True is not an integer"),
+        ([5], "alpha class must be an iterable, got 5"),
+        (5, "alpha classes must be an iterable, got 5"),
+    ], ids=["zero", "negative", "bool", "str", "bool beside its int", "int class",
+            "int classes"])
+    def test_bad_class_state_rejected(self, alpha, message):
+        with pytest.raises(MalformedInputError) as exc:
+            minimal_placement(alpha, [])
+        assert str(exc.value) == message
+
     def test_witness_verification_against_system(self, fix15):
         sets, count = minimal_placement(*equivalence_classes(fix15), sys=fix15)
         assert count == 3
@@ -186,6 +201,11 @@ class TestForbidStates:
         with pytest.raises(MalformedInputError) as exc:
             forbid_states(FIX15_ALPHA, FIX15_BETA, {12, state})
         assert str(exc.value) == f"forbidden state {state!r} is not an integer"
+
+    def test_non_iterable_forbidden_rejected(self):
+        with pytest.raises(MalformedInputError) as exc:
+            forbid_states(FIX15_ALPHA, FIX15_BETA, 5)
+        assert str(exc.value) == "forbidden states must be an iterable, got 5"
 
     def test_state_outside_every_class_is_ignored(self):
         # Only partition_report knows n, so only it range-checks.
@@ -392,6 +412,11 @@ class TestPartitionReport:
             partition_report(fix15, forbid=forbid)
         assert str(exc.value) == message
 
+    def test_non_iterable_forbid_rejected(self, fix15):
+        with pytest.raises(MalformedInputError) as exc:
+            partition_report(fix15, forbid=5)
+        assert str(exc.value) == "forbid must be an iterable, got 5"
+
 
 def fix15_sensed():
     """A fresh copy of the fixture with rows on its witness (4, 9, 12)."""
@@ -447,7 +472,7 @@ class TestSharing:
         assert equivalence_classes(sys) == expected
         assert equivalence_classes(grown) == expected
         # The seeds still come from a cold matching of the bare graph.
-        cold = matching.contractions(S(sys.n, 0, sorted(sys.a_pattern)).graph)
+        cold = matching.contractions(S(sys.n, 0, sorted(sys.a_pattern)))
         assert matching.system_contractions(grown.without_measurements()) == cold
 
     def test_errors_are_never_cached(self, count_calls):

@@ -136,7 +136,7 @@ class TestDecompose:
         grown = bare.with_sensor_rows([1, 9, 9])
         dec = decompose(build_digraph(grown))
         assert builds == [fix15.n]
-        assert dec.rows is bare.graph.rows
+        assert dec.rows is bare.rows
         assert dec == decompose(build_digraph(bare))
 
     def test_decomposition_and_scc_coloring_run_no_matching(self, fix15, count_calls):
@@ -178,7 +178,7 @@ class TestAccessClasses:
         assert parents == [(1, 2, 3)]
         assert not cycle_family_covers(
             (1, 2, 3), [(s, t) for (s, t) in state_arcs(sys) if 4 not in (s, t)])
-        assert horizontal_parts(sys.n, sys.graph.edges) == [((2, 3, 4), 2)]
+        assert horizontal_parts(sys.n, sys.edges) == [((2, 3, 4), 2)]
         with pytest.raises(DegenerateStructureError, match="lowest state 2: short by 2"):
             equivalence_classes(sys)
 

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from obspart import (
+    DegenerateStructureError,
     MalformedInputError,
     StructuredSystem,
-    SystemGraph,
     accessibility_check,
     build_digraph,
+    contractions,
+    decompose,
+    maximum_matching,
 )
 from obspart.io import system_from_dict, system_to_dict
 from obspart.structure import _check_pattern
@@ -178,6 +181,9 @@ class TestStructuredSystem:
         assert grown.row_states(3) == (1,)
         with pytest.raises(MalformedInputError, match="sensor state 7 out of range"):
             sys.with_sensor_rows([7])
+        with pytest.raises(MalformedInputError,
+                           match="^sensor states must be an iterable, got 7$"):
+            sys.with_sensor_rows(7)
 
     @pytest.mark.parametrize("state", [True, 2.0, "2"])
     def test_with_sensor_rows_names_a_non_integer_state(self, state):
@@ -245,9 +251,10 @@ class TestDigraph:
         assert len(dg.edges) == len(fix15.a_pattern) + len(fix15.h_pattern)
 
     def test_built_once_per_system(self, chain3):
-        assert build_digraph(chain3) is build_digraph(chain3)
+        assert build_digraph(chain3) is chain3
+        assert chain3.rows is chain3.rows and chain3.matching is chain3.matching
         bare = chain3.without_measurements()
-        assert build_digraph(bare) is build_digraph(chain3.without_measurements())
+        assert bare.rows is chain3.without_measurements().rows
 
     @given(systems())
     def test_round_trip_patterns(self, sys):
@@ -262,6 +269,21 @@ class TestDigraph:
         assert a_back == set(sys.a_pattern)
         assert h_back == set(sys.h_pattern)
         assert list(dg.edges) == sorted(dg.edges)
+
+    @given(systems())
+    def test_layers_take_the_system_itself(self, sys):
+        def answers(system):
+            try:
+                classes = contractions(system)
+            except DegenerateStructureError as exc:
+                classes = exc.components
+            return (decompose(system), accessibility_check(system),
+                    maximum_matching(system), classes)
+
+        assert answers(sys) == answers(build_digraph(sys))
+
+    def test_accessibility_of_a_system_with_rows(self, chain3):
+        assert chain3.p and accessibility_check(chain3) == ((1, 2, 3), ())
 
     @given(systems())
     def test_edge_count_invariant(self, sys):
@@ -298,12 +320,8 @@ class TestCsr:
 
 class TestReverse:
     @given(systems())
-    def test_reverse_of_a_graph_built_by_hand(self, sys):
-        # A graph the system did not build reads its entries off its rows.
-        graph = build_digraph(sys)
-        by_hand = SystemGraph(n=sys.n, p=sys.p, rows=graph.rows)
-        assert by_hand.reverse == graph.reverse
-        assert by_hand.reverse == tuple(
+    def test_reverse_transposes_the_state_arcs(self, sys):
+        assert sys.reverse == tuple(
             tuple(sorted(j - 1 for (i, j) in sys.a_pattern if i == v + 1))
             for v in range(sys.n))
 
