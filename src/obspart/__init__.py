@@ -15,7 +15,7 @@ from .errors import (
     PreconditionError,
 )
 from .dot import export_dot
-from .generate import random_partitionable_system, random_system
+from .generate import random_system
 from .io import (
     SCHEMA_VERSION,
     load_matrix_market,
@@ -23,14 +23,11 @@ from .io import (
     render_report,
     report_dict,
     system_from_dict,
-    system_to_dict,
     verify_dict,
 )
 from .matching import (
     Contraction,
-    Matching,
     contractions,
-    maximum_matching,
     s_rank,
     system_contractions,
 )
@@ -40,7 +37,6 @@ from .numeric import (
     DEFAULT_TRIALS,
     NumericRealization,
     RankReport,
-    generic_agreement,
     gramian_rank,
     modal_gramian_rank,
     pbh_check,
@@ -58,7 +54,6 @@ from .partition import (
     classify_measurements,
     equivalence_classes,
     forbid_states,
-    is_necessary,
     minimal_placement,
     partition_report,
     theorem_check,
@@ -66,7 +61,6 @@ from .partition import (
 from .scc import (
     SccDecomposition,
     accessibility_check,
-    block_form_certificate,
     decompose,
 )
 from .structure import (
@@ -89,7 +83,6 @@ __all__ = [
     "InconsistencyError",
     "InfeasiblePlacementError",
     "MalformedInputError",
-    "Matching",
     "NumericError",
     "NumericRealization",
     "ObspartError",
@@ -101,7 +94,6 @@ __all__ = [
     "StructuredSystem",
     "TheoremCheck",
     "accessibility_check",
-    "block_form_certificate",
     "build_digraph",
     "classify_measurements",
     "contractions",
@@ -109,17 +101,13 @@ __all__ = [
     "equivalence_classes",
     "export_dot",
     "forbid_states",
-    "generic_agreement",
     "gramian_rank",
-    "is_necessary",
     "load_matrix_market",
     "load_system",
-    "maximum_matching",
     "minimal_placement",
     "modal_gramian_rank",
     "partition_report",
     "pbh_check",
-    "random_partitionable_system",
     "random_system",
     "rank_report",
     "realize",
@@ -128,7 +116,6 @@ __all__ = [
     "s_rank",
     "system_contractions",
     "system_from_dict",
-    "system_to_dict",
     "theorem_check",
     "verify_alpha_equivalence",
     "verify_beta_equivalence",

@@ -76,19 +76,6 @@ def load_system(path):
     return system_from_dict(doc)
 
 
-def system_to_dict(sys, names=None):
-    """SystemFile document for a system; round-trips through load."""
-    doc = {
-        "n": sys.n,
-        "p": sys.p,
-        "a": [list(e) for e in sys.sorted_a()],
-        "h": [list(e) for e in sys.sorted_h()],
-    }
-    if names is not None:
-        doc["names"] = list(names)
-    return doc
-
-
 def load_matrix_market(path):
     """Import a square coordinate-pattern Matrix Market file as a state
     pattern (no measurements)."""

@@ -1,4 +1,4 @@
-"""Maximum matchings, structural rank, and the rank classes (contractions).
+"""Structural rank and the rank classes (contractions).
 
 Each function reads the matching and rows the given system keeps.  The
 README's "Graph core" section says how one search along alternating
@@ -9,31 +9,6 @@ from dataclasses import dataclass
 
 from ._kernels import search
 from .errors import DegenerateStructureError
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A matching on a system's graph, edges in (begin, end) lexical order."""
-
-    edges: tuple
-    unmatched_begin: tuple  # begin state numbers with no matched edge
-
-    @property
-    def size(self):
-        return len(self.edges)
-
-
-def maximum_matching(sys):
-    """Deterministic maximum matching (Hopcroft-Karp over sorted adjacency)."""
-    match_begin, _ = sys.matching
-    edges = []
-    unmatched = []
-    for b, e in enumerate(match_begin, start=1):
-        if e >= 0:
-            edges.append((b, e + 1))
-        else:
-            unmatched.append(b)
-    return Matching(edges=tuple(edges), unmatched_begin=tuple(unmatched))
 
 
 def s_rank(sys, include_h=False):

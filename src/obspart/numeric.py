@@ -381,10 +381,3 @@ def verify_beta_equivalence(
         return rank_u == modal_gramian_rank(base_sys, seed, trials, tol)[0] + 1
     return True
 
-
-def generic_agreement(sys, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
-    """Fraction of realizations whose full-rank verdict matches the
-    structural test."""
-    ranks, _, _ = _trial_ranks(sys, seed, trials, tol)
-    structural = sys.memo(theorem_check).observable
-    return sum((rank == sys.n) == structural for rank in ranks) / trials

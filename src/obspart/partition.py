@@ -101,27 +101,30 @@ def _access_classes(bare):
                  if dec.parent_flags[c] and c not in held)
 
 
-def _normalize_classes(classes, family):
+def _checked_classes(classes, family):
+    """The classes as a list of tuples of ints; a family or a class that
+    is not iterable, or a bool or non-int state, raises ``MalformedInputError``."""
     what = f"{family} class"
     classes = [_tuple_of(what, cls) for cls in _tuple_of(f"{family} classes", classes)]
-    states = list(chain.from_iterable(classes))
     # One C-level type test per family; only a failing family is walked,
     # to name its bad state.
-    if not set(map(type, states)) <= {int}:
-        for state in states:
+    if not set(map(type, chain.from_iterable(classes))) <= {int}:
+        for state in chain.from_iterable(classes):
             _check_int(f"{what} state", state)
-    if states and min(states) < 1:
-        raise MalformedInputError(f"{what} state {min(states)} is below 1")
-    out = []
-    for cls in classes:
-        members = tuple(sorted(set(cls)))
-        if not members:
-            raise InfeasiblePlacementError(
-                f"empty {what} leaves nothing to place a sensor on",
-                empty_class=(),
-            )
-        out.append(members)
-    out.sort()
+    return classes
+
+
+def _normalize_classes(classes, family):
+    classes = _checked_classes(classes, family)
+    low = min(chain.from_iterable(classes), default=1)
+    if low < 1:
+        raise MalformedInputError(f"{family} class state {low} is below 1")
+    out = sorted(tuple(sorted(set(cls))) for cls in classes)
+    if out and not out[0]:  # an empty class sorts first
+        raise InfeasiblePlacementError(
+            f"empty {family} class leaves nothing to place a sensor on",
+            empty_class=(),
+        )
     seen = set()
     for members in out:
         for state in members:
@@ -136,15 +139,19 @@ def _normalize_classes(classes, family):
 def forbid_states(alpha_classes, beta_classes, forbidden):
     """Drop forbidden states from every class, for what-if placement.
 
-    A bool or a non-int state raises ``MalformedInputError``.  Only the
-    type is checked: the range check needs n, which ``partition_report``
-    has and checks.
+    Classes keep their order, each with its states ascending.  A family,
+    class or forbidden list that is not iterable, or a bool or non-int
+    state, raises ``MalformedInputError``.  Only the type is checked: the
+    range check needs n, which ``partition_report`` has and checks.
     """
     forbidden = _tuple_of("forbidden states", forbidden)
     for state in forbidden:
         _check_int("forbidden state", state)
-    forbidden = set(forbidden)
+    return _forbid(_checked_classes(alpha_classes, "alpha"),
+                   _checked_classes(beta_classes, "beta"), set(forbidden))
 
+
+def _forbid(alpha, beta, forbidden):
     def reduce(classes, family):
         reduced = []
         for cls in classes:
@@ -158,7 +165,7 @@ def forbid_states(alpha_classes, beta_classes, forbidden):
             reduced.append(members)
         return tuple(reduced)
 
-    return reduce(alpha_classes, "alpha"), reduce(beta_classes, "beta")
+    return reduce(alpha, "alpha"), reduce(beta, "beta")
 
 
 def _overlap_rows(groups, classes):
@@ -206,8 +213,12 @@ def minimal_placement(alpha_classes, beta_classes, *, sys=None, all_witnesses=Fa
     A class that is no collection of ints of at least 1 raises
     ``MalformedInputError``.
     """
-    alpha = _normalize_classes(alpha_classes, "alpha")
-    beta = _normalize_classes(beta_classes, "beta")
+    return _placement(_normalize_classes(alpha_classes, "alpha"),
+                      _normalize_classes(beta_classes, "beta"), sys, all_witnesses)
+
+
+def _placement(alpha, beta, sys, all_witnesses):
+    """``minimal_placement`` of sorted, disjoint classes of sorted ints."""
     match_begin, match_end = hopcroft_karp(_overlap_rows(alpha, beta), len(beta))
     overlap = len(alpha) - match_begin.count(-1)
     count = len(alpha) + len(beta) - overlap
@@ -269,27 +280,17 @@ def _label_rows(row_states, alpha, beta):
     return tuple(labels.values())
 
 
-def is_necessary(sys, row):
-    """Would deleting this measurement row lose generic observability?"""
-    if isinstance(row, bool) or not (isinstance(row, int) and 1 <= row <= sys.p):
-        raise ParameterError(
-            f"row must be a measurement index in 1..{sys.p}, got {row!r}"
-        )
-    if not theorem_check(sys).observable:
-        raise PreconditionError(
-            "necessity is defined only for generically observable systems"
-        )
-    return not theorem_check(sys.without_row(row)).observable
-
-
 def partition_report(sys, forbid=(), all_witnesses=False):
     """Full structural report: classes, row labels, minimal placements."""
     forbid = _tuple_of("forbid", forbid)
     for state in forbid:
         _check_index("forbidden state", state, "n", sys.n)
-    classes = equivalence_classes(sys)
-    alpha, beta = forbid_states(*classes, forbid) if forbid else classes
-    sets, count = minimal_placement(alpha, beta, sys=sys, all_witnesses=all_witnesses)
+    alpha, beta = equivalence_classes(sys)
+    if forbid:
+        alpha, beta = _forbid(alpha, beta, set(forbid))
+    # The classes found are sorted, disjoint ints; forbidding keeps each
+    # class sorted, but may change the order of the classes.
+    sets, count = _placement(sorted(alpha), sorted(beta), sys, all_witnesses)
     labels = sys.memo(classify_measurements) if sys.p else ()
     return PartitionReport(
         alpha_classes=alpha,

@@ -183,17 +183,6 @@ class StructuredSystem:
                     seen.add(e)
         return cls(n=n, p=p, a_pattern=patterns[0], h_pattern=patterns[1])
 
-    def sorted_a(self):
-        return sorted(self.a_pattern)
-
-    def sorted_h(self):
-        return sorted(self.h_pattern)
-
-    def row_states(self, row):
-        """States measured by row ``row`` (1-based), ascending."""
-        _check_index("row", row, "p", self.p)
-        return tuple(sorted(j for (i, j) in self.h_pattern if i == row))
-
     def with_sensor_rows(self, states):
         """Append one single-state measurement row per listed state."""
         extra = []

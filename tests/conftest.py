@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from obspart import StructuredSystem, random_partitionable_system
+from obspart import StructuredSystem
+from strategies import random_partitionable_system
 
 # The interpreted graph kernels and the numeric oracle make per-example
 # times vary too widely for a deadline.

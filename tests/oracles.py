@@ -10,7 +10,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from obspart.errors import MalformedInputError, NumericError
+from obspart.errors import (
+    MalformedInputError,
+    NumericError,
+    ParameterError,
+    PreconditionError,
+)
+from obspart.partition import theorem_check
 from obspart.structure import StructuredSystem
 
 
@@ -324,8 +330,8 @@ def exact_krylov_rank(n, a_entries, h_entries, seed=0, draws=2):
 def realize_reference(sys, seed, trial):
     """(A, H) of ``obspart.realize``, scattered entry by entry in (i, j) order."""
     rng = np.random.default_rng([seed, trial])
-    a_entries = sys.sorted_a()
-    h_entries = sys.sorted_h()
+    a_entries = sorted(sys.a_pattern)
+    h_entries = sorted(sys.h_pattern)
     count = len(a_entries) + len(h_entries)
     magnitudes = np.exp(rng.uniform(math.log(0.5), math.log(2.0), size=count))
     signs = rng.integers(0, 2, size=count) * 2 - 1
@@ -337,6 +343,39 @@ def realize_reference(sys, seed, trial):
     for k, (i, j) in enumerate(h_entries):
         h[i - 1, j - 1] = values[len(a_entries) + k]
     return a, h
+
+
+def system_to_dict(sys, names=None):
+    """SystemFile document for a system; round-trips through load."""
+    doc = {
+        "n": sys.n,
+        "p": sys.p,
+        "a": [list(e) for e in sorted(sys.a_pattern)],
+        "h": [list(e) for e in sorted(sys.h_pattern)],
+    }
+    if names is not None:
+        doc["names"] = list(names)
+    return doc
+
+
+# ---------------------------------------------------------------------------
+# measurement necessity by deleting the row
+
+def is_necessary(sys, row):
+    """Would deleting this measurement row lose generic observability?
+
+    Brute force: one ``theorem_check`` of the system and one of the
+    system without the row, the reference for a one-pass necessity test.
+    """
+    if isinstance(row, bool) or not (isinstance(row, int) and 1 <= row <= sys.p):
+        raise ParameterError(
+            f"row must be a measurement index in 1..{sys.p}, got {row!r}"
+        )
+    if not theorem_check(sys).observable:
+        raise PreconditionError(
+            "necessity is defined only for generically observable systems"
+        )
+    return not theorem_check(sys.without_row(row)).observable
 
 
 # ---------------------------------------------------------------------------

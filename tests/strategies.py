@@ -2,7 +2,13 @@
 
 from hypothesis import strategies as st
 
-from obspart import StructuredSystem
+from obspart import (
+    DegenerateStructureError,
+    ParameterError,
+    StructuredSystem,
+    contractions,
+    random_system,
+)
 
 
 @st.composite
@@ -24,6 +30,25 @@ def systems(draw, n_min=1, n_max=8, p_max=3, allow_h=True):
             )
         )
     return StructuredSystem(n=n, p=p, a_pattern=a, h_pattern=h)
+
+
+def random_partitionable_system(rng, n_lo=3, n_hi=10, density_lo=1.5,
+                                density_hi=3.0, p_lo=0, p_hi=0, attempts=1000):
+    """Like random_system, but resampled until every connected part of
+    the Dulmage-Mendelsohn horizontal block is short by one node, i.e.
+    every rank deficit is repairable one sensor at a time and the class
+    machinery applies."""
+    for _ in range(attempts):
+        sys = random_system(rng, n_lo, n_hi, density_lo, density_hi, p_lo, p_hi)
+        try:
+            contractions(sys.without_measurements())
+        except DegenerateStructureError:
+            continue
+        return sys
+    raise ParameterError(
+        f"no partitionable system found in {attempts} draws; "
+        f"widen the parameter ranges"
+    )
 
 
 # Values that are no row or column index, each as the loader must name it.

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from obspart import ParameterError, random_partitionable_system, random_system
+from obspart import ParameterError, random_system
+from strategies import random_partitionable_system
 
 
 def test_state_count_range_must_not_be_empty():

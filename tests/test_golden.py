@@ -3,7 +3,7 @@
 Each case is an input system ``golden/<case>.json`` plus one expected
 stdout per command in ``golden/<case>/<command>.txt``.  The corpus is
 the 15-state fixture with two sensor rows, the three-state chain and
-seeded ``random_partitionable_system`` draws with n >= 10 and p > 0, so
+seeded ``strategies.random_partitionable_system`` draws with n >= 10 and p > 0, so
 the DOT edge order (``"x10"`` before ``"x2"``) is pinned too.
 
 After an intended report change, regenerate and review the diff:
@@ -96,9 +96,9 @@ def test_golden_reports_do_not_depend_on_the_hash_seed(hash_seed):
 def _write_inputs():
     import numpy as np
 
-    from obspart import random_partitionable_system
-    from obspart.io import system_to_dict
     from conftest import FIX15_A
+    from oracles import system_to_dict
+    from strategies import random_partitionable_system
 
     docs = {
         "fix15_sensors": {"n": 15, "p": 2, "a": [list(e) for e in sorted(FIX15_A)],

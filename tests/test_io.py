@@ -13,14 +13,13 @@ from obspart import (
     render_report,
     report_dict,
     system_from_dict,
-    system_to_dict,
     theorem_check,
     verify_dict,
 )
 from obspart import cli, structure
 from obspart.structure import MAX_STATES
 from conftest import S
-from oracles import check_pattern_reference, system_from_dict_reference
+from oracles import check_pattern_reference, system_from_dict_reference, system_to_dict
 from strategies import system_documents, systems
 
 CHAIN_DOC = {"n": 3, "p": 1, "a": [[2, 1], [3, 2]], "h": [[1, 3]]}

@@ -10,7 +10,6 @@ from obspart import (
     StructuredSystem,
     build_digraph,
     contractions,
-    maximum_matching,
     s_rank,
     random_system,
     system_contractions,
@@ -26,39 +25,41 @@ from oracles import (
 from strategies import systems
 
 
+def matched_pairs(sys):
+    """The 0-based (begin, end) pairs of the system's kept matching."""
+    match_begin, _ = sys.matching
+    return [(b, e) for b, e in enumerate(match_begin) if e >= 0]
+
+
 class TestMaximumMatching:
     def test_chain(self):
-        m = maximum_matching(build_digraph(S(3, 0, [(2, 1), (3, 2)])))
-        assert m.size == 2
-        assert m.unmatched_begin == (3,)
+        # States 1 -> 2 -> 3: ends 2 and 3 are taken, state 3 has no row.
+        assert S(3, 0, [(2, 1), (3, 2)]).matching == ((1, 2, -1), (-1, 0, 1))
 
     def test_cycle(self, cycle3):
-        m = maximum_matching(build_digraph(cycle3))
-        assert m.size == 3
-        assert m.unmatched_begin == ()
+        match_begin, match_end = cycle3.matching
+        assert -1 not in match_begin and -1 not in match_end
 
     def test_fan(self, fan3):
-        m = maximum_matching(build_digraph(fan3))
-        assert m.size == 1
-        assert len(m.unmatched_begin) == 2
+        match_begin, _ = fan3.matching
+        assert len(matched_pairs(fan3)) == 1
+        assert match_begin.count(-1) == 2
 
     def test_no_shared_endpoints(self):
-        m = maximum_matching(build_digraph(S(4, 2, [(1, 2), (3, 2), (4, 4)],
-                                             [(1, 2), (2, 3)])))
-        begins = [b for b, _ in m.edges]
-        ends = [e for _, e in m.edges]
-        assert len(set(begins)) == len(begins)
-        assert len(set(ends)) == len(ends)
+        sys = S(4, 2, [(1, 2), (3, 2), (4, 4)], [(1, 2), (2, 3)])
+        _, match_end = sys.matching
+        pairs = matched_pairs(sys)
+        assert len({e for _, e in pairs}) == len(pairs)
+        assert all(match_end[e] == b for b, e in pairs)
+        assert match_end.count(-1) == sys.n_end - len(pairs)
 
     @given(systems(n_max=6))
     def test_size_is_maximum(self, sys):
-        bg = build_digraph(sys)
-        m = maximum_matching(bg)
-        if bg.edges:
-            best = max(len(x) for x in all_maximum_matchings(bg.n, bg.edges))
+        if sys.edges:
+            best = max(len(x) for x in all_maximum_matchings(sys.n, sys.edges))
         else:
             best = 0
-        assert m.size == best
+        assert len(matched_pairs(sys)) == s_rank(sys, include_h=True) == best
 
 
 class TestSRank:

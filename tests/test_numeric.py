@@ -14,7 +14,6 @@ from obspart import (
     NumericRealization,
     ParameterError,
     PreconditionError,
-    generic_agreement,
     gramian_rank,
     modal_gramian_rank,
     pbh_check,
@@ -128,7 +127,7 @@ def block_chain(rng, n, sensors):
     while start < n:
         size = min(n - start, int(rng.integers(3, 11)))
         block = random_system(rng, size, size, p_lo=0, p_hi=0)
-        a += [(i + start, j + start) for i, j in block.sorted_a()]
+        a += [(i + start, j + start) for i, j in sorted(block.a_pattern)]
         if tail is not None:
             a.append((start + int(rng.integers(1, size + 1)), tail))
         tail = start + int(rng.integers(1, size + 1))
@@ -167,7 +166,7 @@ class TestGramianRank:
         # rounding errors grow into spurious directions here: ranks
         # (100, 100, 110, 100, 100) against an exact generic rank of 87.
         sys = block_chain(np.random.default_rng(17), 130, 6)
-        exact = exact_krylov_rank(sys.n, sys.sorted_a(), sys.sorted_h())
+        exact = exact_krylov_rank(sys.n, sorted(sys.a_pattern), sorted(sys.h_pattern))
         assert exact == 87
         assert rank_report(sys).gramian_ranks == (exact,) * 5
 
@@ -179,7 +178,8 @@ class TestGramianRank:
         # Grown on all n states, rounding leaked into the inaccessible
         # columns: every trial read 76 and 69 here.
         sys = block_chain(np.random.default_rng(seed), n, sensors)
-        assert exact_krylov_rank(sys.n, sys.sorted_a(), sys.sorted_h()) == exact
+        a, h = sorted(sys.a_pattern), sorted(sys.h_pattern)
+        assert exact_krylov_rank(sys.n, a, h) == exact
         assert rank_report(sys).gramian_ranks == (exact,) * 5
 
     @given(systems(), st.lists(st.integers(1, 8), max_size=3))
@@ -444,8 +444,7 @@ class TestStateLimit:
         r = realize(chain(NUMERIC_STATE_LIMIT))
         assert r.a.shape == (NUMERIC_STATE_LIMIT, NUMERIC_STATE_LIMIT)
 
-    @pytest.mark.parametrize("call", [realize, rank_report, modal_gramian_rank,
-                                      generic_agreement])
+    @pytest.mark.parametrize("call", [realize, rank_report, modal_gramian_rank])
     def test_above_limit_is_refused_before_any_square_array(self, call):
         n = NUMERIC_STATE_LIMIT + 1
         sys = chain(n)
@@ -703,14 +702,13 @@ class TestVerifyBeta:
             assert len(calls) == count
 
 class TestGenericAgreement:
+    """Every realization takes the structural verdict's rank."""
+
     def test_observable_chain(self, chain3):
-        assert generic_agreement(chain3, trials=100) == 1.0
+        assert rank_report(chain3, trials=100).gramian_ranks == (3,) * 100
 
     def test_unobservable_system(self, fan3):
-        assert generic_agreement(fan3, trials=20) == 1.0
-
-    def test_single_trial_is_zero_or_one(self, chain3):
-        assert generic_agreement(chain3, trials=1) in (0.0, 1.0)
+        assert rank_report(fan3, trials=20).gramian_ranks == (0,) * 20
 
 
 class TestStructuralNumericBridge:
@@ -720,7 +718,7 @@ class TestStructuralNumericBridge:
 
     @given(systems(n_max=7))
     def test_rank_matches_exact_generic_rank(self, sys):
-        exact = exact_krylov_rank(sys.n, sys.sorted_a(), sys.sorted_h())
+        exact = exact_krylov_rank(sys.n, sorted(sys.a_pattern), sorted(sys.h_pattern))
         assert gramian_rank(realize(sys)) == exact
 
     @given(systems(n_max=6))

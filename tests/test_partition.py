@@ -12,16 +12,16 @@ from obspart import (
     classify_measurements,
     equivalence_classes,
     forbid_states,
-    is_necessary,
     minimal_placement,
     partition_report,
     theorem_check,
 )
-from obspart import _kernels, matching, scc
+from obspart import _kernels, matching, partition, scc
 from obspart.partition import _label_rows, _overlap_rows, _row_states
 from conftest import FIX15_A, FIX15_ALPHA, FIX15_BETA, S
 from oracles import (
     greedy_row_labels,
+    is_necessary,
     max_matching_size,
     numeric_observable,
     overlap_edges,
@@ -211,6 +211,22 @@ class TestForbidStates:
         # Only partition_report knows n, so only it range-checks.
         assert forbid_states(FIX15_ALPHA, FIX15_BETA, {99}) == (FIX15_ALPHA, FIX15_BETA)
 
+    def test_class_order_is_kept(self):
+        assert forbid_states([[5, 4, 4], (1, 2)], [{3}], [2]) == (((4, 5), (1,)), ((3,),))
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        ([5], [], "alpha class must be an iterable, got 5"),
+        ([(1, "a")], [], "alpha class state 'a' is not an integer"),
+        ([(True,)], [], "alpha class state True is not an integer"),
+        (FIX15_ALPHA, 5, "beta classes must be an iterable, got 5"),
+        (FIX15_ALPHA, [(9,), (11, 2.0)], "beta class state 2.0 is not an integer"),
+    ], ids=["int class", "str state", "bool state", "int family", "float state"])
+    def test_bad_class_rejected(self, alpha, beta, message):
+        # Each used to raise a bare TypeError, or to pass a bool state on.
+        with pytest.raises(MalformedInputError) as exc:
+            forbid_states(alpha, beta, ())
+        assert str(exc.value) == message
+
 
 class TestClassify:
     def test_chain_alpha(self, chain3):
@@ -348,14 +364,13 @@ class TestBookkeeping:
     def test_row_states_groups_every_row(self, sys):
         if sys.p == 0:
             return
-        empty = [r for r in range(1, sys.p + 1) if not sys.row_states(r)]
+        want = {r: {j for (i, j) in sys.h_pattern if i == r} for r in range(1, sys.p + 1)}
+        empty = [r for r, states in want.items() if not states]
         if empty:
             with pytest.raises(MalformedInputError, match=f"row {empty[0]} measures"):
                 _row_states(sys)
         else:
-            assert _row_states(sys) == {
-                r: set(sys.row_states(r)) for r in range(1, sys.p + 1)
-            }
+            assert _row_states(sys) == want
 
 
 class TestIsNecessary:
@@ -416,6 +431,25 @@ class TestPartitionReport:
         with pytest.raises(MalformedInputError) as exc:
             partition_report(fix15, forbid=5)
         assert str(exc.value) == "forbid must be an iterable, got 5"
+
+    @given(systems(n_max=7, allow_h=False), st.data())
+    def test_placement_is_the_public_one_of_the_report_classes(self, sys, data):
+        forbid = data.draw(st.sets(st.integers(1, sys.n), max_size=2))
+        try:
+            report = partition_report(sys, forbid=forbid, all_witnesses=True)
+        except (DegenerateStructureError, InfeasiblePlacementError):
+            return
+        sets, count = minimal_placement(report.alpha_classes, report.beta_classes,
+                                        sys=sys, all_witnesses=True)
+        assert (list(report.minimal_sets), report.sensor_count) == (sets, count)
+
+    def test_found_classes_are_not_normalized_again(self, fix15, count_calls):
+        normalized = count_calls(partition._normalize_classes)
+        forbidden = partition_report(fix15, forbid={2})
+        # Forbidding 2 puts {7, 9} first; the report keeps that order.
+        assert forbidden.alpha_classes == ((7, 9), (4, 15), (10, 12))
+        assert forbidden.minimal_sets == partition_report(fix15).minimal_sets == ((4, 9, 12),)
+        assert normalized == []
 
 
 def fix15_sensed():

@@ -5,10 +5,7 @@ from hypothesis import given
 
 from obspart import (
     DegenerateStructureError,
-    InconsistencyError,
-    PreconditionError,
     accessibility_check,
-    block_form_certificate,
     build_digraph,
     decompose,
     equivalence_classes,
@@ -28,12 +25,23 @@ def state_arcs(sys):
     return [(j, i) for (i, j) in sys.a_pattern]
 
 
+def parents(dec):
+    """The parent components, in component order."""
+    return tuple(comp for comp, flag in zip(dec.components, dec.parent_flags) if flag)
+
+
+def condensation(sys, dec):
+    """The (source, target) component pairs of the arcs between components."""
+    comp = dec.comp
+    return {(comp[s - 1], comp[t - 1]) for s, t in state_arcs(sys)
+            if comp[s - 1] != comp[t - 1]}
+
+
 class TestDecompose:
     def test_cycle_is_one_matched_parent(self, cycle3):
         dec = decompose(build_digraph(cycle3))
         assert dec.components == ((1, 2, 3),)
         assert dec.parent_flags == (True,)
-        assert dec.order == ()
         # No rank class, so the parent is an access class.
         assert equivalence_classes(cycle3) == ((), ((1, 2, 3),))
 
@@ -41,14 +49,12 @@ class TestDecompose:
         dec = decompose(build_digraph(S(3, 0, [(2, 1), (3, 2)])))
         assert dec.components == ((1,), (2,), (3,))
         assert dec.parent_flags == (False, False, True)
-        assert dec.order == ((0, 1), (1, 2))
 
     def test_fixture_matched_parents(self, fix15):
         dec = decompose(build_digraph(fix15))
-        parents = tuple(dec.components[i] for i in dec.parent_components())
-        assert parents == ((9,), (11, 12, 13, 14))
+        assert parents(dec) == ((9,), (11, 12, 13, 14))
         # Neither parent holds a whole rank class, so both are access classes.
-        assert _access_classes(fix15) == parents
+        assert _access_classes(fix15) == parents(dec)
 
     def test_self_loop_singleton_is_matched(self):
         sys = S(2, 0, [(1, 1), (1, 2)])
@@ -63,23 +69,14 @@ class TestDecompose:
         without = decompose(build_digraph(S(2, 0, [(1, 1)])))
         assert with_h.parent_flags == without.parent_flags
 
-    def test_component_of(self, fix15):
-        dec = decompose(build_digraph(fix15))
-        idx = dec.component_of(12)
-        assert dec.components[idx] == (11, 12, 13, 14)
-        assert [dec.component_of(s) for s in range(1, fix15.n + 1)] == list(dec.comp)
-        for bad in (99, True, 2.0, 0, fix15.n + 1):
-            with pytest.raises(PreconditionError, match=f"^state {bad} not in any component$"):
-                dec.component_of(bad)
-
     @given(systems(n_max=7))
     def test_partition_and_acyclic_condensation(self, sys):
         dec = decompose(build_digraph(sys))
         flat = [s for comp in dec.components for s in comp]
         assert sorted(flat) == list(range(1, sys.n + 1))
-        # order is a DAG: repeatedly strip sinks
+        # The condensation is a DAG: repeatedly strip sinks.
         remaining = set(range(len(dec.components)))
-        edges = set(dec.order)
+        edges = condensation(sys, dec)
         while remaining:
             sinks = {
                 c for c in remaining
@@ -91,7 +88,7 @@ class TestDecompose:
     @given(systems(n_max=7))
     def test_parent_iff_condensation_sink(self, sys):
         dec = decompose(build_digraph(sys))
-        sources = {src for src, _ in dec.order}
+        sources = {src for src, _ in condensation(sys, dec)}
         for idx in range(len(dec.components)):
             assert dec.parent_flags[idx] == (idx not in sources)
 
@@ -104,7 +101,7 @@ class TestDecompose:
         # Measurement arcs leave every component and flag alone, so the
         # graph with rows and its bare graph decompose alike.
         alone = decompose(build_digraph(bare))
-        assert got == alone and got.order == alone.order
+        assert got == alone and got.comp == alone.comp
 
     @given(systems(n_max=7))
     def test_order_and_comp_match_the_brute_condensation(self, sys):
@@ -112,9 +109,8 @@ class TestDecompose:
         arcs = [(s - 1, t - 1) for (s, t) in state_arcs(sys)]
         owner = {v: c for c in brute_sccs(sys.n, arcs) for v in c}
         index = {frozenset(s - 1 for s in comp): i for i, comp in enumerate(dec.components)}
-        condensation = {(index[owner[s]], index[owner[t]])
-                        for s, t in arcs if owner[s] != owner[t]}
-        assert dec.order == tuple(sorted(condensation))
+        brute = {(index[owner[s]], index[owner[t]]) for s, t in arcs if owner[s] != owner[t]}
+        assert condensation(sys, dec) == brute
         assert len(dec.comp) == sys.n
         for s in range(1, sys.n + 1):
             assert s in dec.components[dec.comp[s - 1]]
@@ -136,7 +132,6 @@ class TestDecompose:
         grown = bare.with_sensor_rows([1, 9, 9])
         dec = decompose(build_digraph(grown))
         assert builds == [fix15.n]
-        assert dec.rows is bare.rows
         assert dec == decompose(build_digraph(bare))
 
     def test_decomposition_and_scc_coloring_run_no_matching(self, fix15, count_calls):
@@ -173,9 +168,7 @@ class TestAccessClasses:
         # part, {2, 3, 4} short by 2, leaves it: outside the domain the two
         # rules part, and the classes are refused before either is read.
         sys = S(4, 0, [(2, 1), (3, 1), (1, 2), (1, 3), (1, 4)])
-        dec = decompose(build_digraph(sys))
-        parents = [dec.components[i] for i in dec.parent_components()]
-        assert parents == [(1, 2, 3)]
+        assert parents(decompose(build_digraph(sys))) == ((1, 2, 3),)
         assert not cycle_family_covers(
             (1, 2, 3), [(s, t) for (s, t) in state_arcs(sys) if 4 not in (s, t)])
         assert horizontal_parts(sys.n, sys.edges) == [((2, 3, 4), 2)]
@@ -208,10 +201,7 @@ class TestAccessibility:
         _, inaccessible = accessibility_check(dg)
         dec = decompose(dg)
         measured = {j for (_, j) in sys.h_pattern}
-        parents_ok = all(
-            set(dec.components[i]) & measured
-            for i in dec.parent_components()
-        )
+        parents_ok = all(set(comp) & measured for comp in parents(dec))
         assert (not inaccessible) == parents_ok
 
     @given(systems(n_max=7, p_max=4))
@@ -263,32 +253,14 @@ class TestAccessibility:
 
 
 class TestBlockForm:
-    def test_chain_certificate(self):
-        sys = S(2, 1, [(2, 1)], [(1, 1)])  # x1 -> x2, sensor on x1
-        assert block_form_certificate(sys) == (2, 1)
-
-    def test_isolated_states(self):
-        sys = S(2, 1, [], [(1, 1)])
-        assert block_form_certificate(sys) == (2, 1)
-
-    def test_fully_accessible_is_an_error(self, chain3):
-        with pytest.raises(PreconditionError, match="no inaccessible states"):
-            block_form_certificate(chain3)
-
-    @given(systems(n_max=7))
+    @given(systems(n_max=7, p_max=4))
     def test_certificate_blocks_are_zero(self, sys):
-        dg = build_digraph(sys)
-        _, inaccessible = accessibility_check(dg)
-        if not inaccessible:
-            return
-        order = block_form_certificate(sys)
-        assert sorted(order) == list(range(1, sys.n + 1))
-        k = len(inaccessible)
-        assert set(order[:k]) == set(inaccessible)
-        position = {s: idx for idx, s in enumerate(order)}
+        # With the inaccessible states first, A is block triangular and H
+        # is zero on them: the numeric oracle's slice to the accessible
+        # block drops no entry of [H; HA; ...].
+        _, inaccessible = accessibility_check(sys)
+        inacc = set(inaccessible)
         for (i, j) in sys.a_pattern:
-            # permuted A must be block upper-triangular: no entry with an
-            # accessible row and an inaccessible column
-            assert not (position[i] >= k and position[j] < k)
+            assert i in inacc or j not in inacc
         for (_, j) in sys.h_pattern:
-            assert position[j] >= k
+            assert j not in inacc

@@ -16,12 +16,12 @@ from obspart import (
     build_digraph,
     contractions,
     decompose,
-    maximum_matching,
+    s_rank,
 )
-from obspart.io import system_from_dict, system_to_dict
+from obspart.io import system_from_dict
 from obspart.structure import _check_pattern
 from conftest import S
-from oracles import check_pattern_reference, csr_to_rows
+from oracles import check_pattern_reference, csr_to_rows, system_to_dict
 from strategies import systems
 
 # One bad entry each, made from a valid entry (i, j) of a pattern with
@@ -166,19 +166,11 @@ class TestStructuredSystem:
         with pytest.raises(MalformedInputError, match="duplicate h"):
             S(3, 2, [], [(1, 1), (1, 1)])
 
-    def test_row_states(self):
-        sys = S(4, 2, [], [(1, 2), (1, 4), (2, 1)])
-        assert sys.row_states(1) == (2, 4)
-        assert sys.row_states(2) == (1,)
-        with pytest.raises(MalformedInputError):
-            sys.row_states(3)
-
     def test_with_sensor_rows_appends(self):
         sys = S(3, 1, [(2, 1)], [(1, 3)])
         grown = sys.with_sensor_rows([2, 1])
         assert grown.p == 3
-        assert grown.row_states(2) == (2,)
-        assert grown.row_states(3) == (1,)
+        assert grown.h_pattern == {(1, 3), (2, 2), (3, 1)}
         with pytest.raises(MalformedInputError, match="sensor state 7 out of range"):
             sys.with_sensor_rows([7])
         with pytest.raises(MalformedInputError,
@@ -203,26 +195,22 @@ class TestStructuredSystem:
         sys = S(3, 3, [], [(1, 1), (2, 2), (3, 3)])
         smaller = sys.without_row(2)
         assert smaller.p == 2
-        assert smaller.row_states(1) == (1,)
-        assert smaller.row_states(2) == (3,)
+        assert smaller.h_pattern == {(1, 1), (2, 3)}
 
     @pytest.mark.parametrize("row", [True, False, 1.5, 1.0, "1", None])
     def test_non_integer_row_named(self, row):
         # without_row(True) used to drop row 1, and without_row(1.5) to
         # merge rows 1 and 2 into one.
         sys = S(3, 2, [(2, 1), (3, 2)], [(1, 3), (2, 1)])
-        for method in (sys.without_row, sys.row_states):
-            with pytest.raises(MalformedInputError,
-                               match=rf"^row {re.escape(repr(row))} is not an integer$"):
-                method(row)
+        with pytest.raises(MalformedInputError,
+                           match=rf"^row {re.escape(repr(row))} is not an integer$"):
+            sys.without_row(row)
 
     @pytest.mark.parametrize("row", [0, 3, -1])
     def test_row_out_of_range(self, row):
         sys = S(3, 2, [(2, 1), (3, 2)], [(1, 3), (2, 1)])
-        for method in (sys.without_row, sys.row_states):
-            with pytest.raises(MalformedInputError,
-                               match=rf"^row {row} out of range for p=2$"):
-                method(row)
+        with pytest.raises(MalformedInputError, match=rf"^row {row} out of range for p=2$"):
+            sys.without_row(row)
 
     def test_first_duplicate_named(self):
         with pytest.raises(MalformedInputError, match=r"duplicate a pattern entry \(2, 3\)"):
@@ -278,7 +266,7 @@ class TestDigraph:
             except DegenerateStructureError as exc:
                 classes = exc.components
             return (decompose(system), accessibility_check(system),
-                    maximum_matching(system), classes)
+                    s_rank(system, include_h=True), classes)
 
         assert answers(sys) == answers(build_digraph(sys))
 
