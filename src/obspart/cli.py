@@ -35,7 +35,7 @@ from .numeric import (
     check_state_limit,
     rank_report,
 )
-from .partition import ALL_WITNESS_LIMIT, partition_report, theorem_check
+from .partition import partition_report, theorem_check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -133,8 +133,8 @@ def build_parser():
                       help="states that may not carry a sensor (repeatable, "
                            "comma separated)")
     p_pl.add_argument("--all-witnesses", action="store_true",
-                      help=f"enumerate every minimal placement (at most "
-                           f"{ALL_WITNESS_LIMIT} candidate states)")
+                      help="enumerate every minimal placement (exit 2 when "
+                           "too many state subsets would need testing)")
     p_pl.set_defaults(handler=cmd_report, check=False)
 
     p_ve = sub.add_parser("verify", help="compare structural and numeric verdicts")

@@ -6,6 +6,7 @@ families, the placement that hits each class once, and the row labels.
 
 from dataclasses import dataclass
 from itertools import chain, combinations
+from math import comb
 
 from ._kernels import hopcroft_karp
 from .errors import (
@@ -23,9 +24,9 @@ ALPHA = "alpha"
 BETA = "beta"
 GAMMA = "gamma"
 
-# Enumerating every minimal placement is exponential in principle; the
-# guard keeps it to at most C(15, 7) candidate subsets.
-ALL_WITNESS_LIMIT = 15
+# Enumerating every minimal placement tests every count-subset of the
+# class states; the bound keeps that to at most C(15, 7) subsets.
+_WITNESS_SUBSET_LIMIT = comb(15, 7)
 
 
 @dataclass(frozen=True)
@@ -191,13 +192,11 @@ def _witness(alpha, beta, match_begin, match_end):
 
 
 def _all_witnesses(alpha, beta, count):
-    candidates = sorted({s for cls in alpha for s in cls}
-                        | {s for cls in beta for s in cls})
-    if len(candidates) > ALL_WITNESS_LIMIT:
-        raise ParameterError(
-            f"witness enumeration supports at most {ALL_WITNESS_LIMIT} "
-            f"candidate states, got {len(candidates)}"
-        )
+    candidates = sorted(set(chain(*alpha, *beta)))
+    subsets = comb(len(candidates), count)
+    if subsets > _WITNESS_SUBSET_LIMIT:
+        raise ParameterError(f"witness enumeration tests at most {_WITNESS_SUBSET_LIMIT} "
+                             f"subsets, got C({len(candidates)}, {count}) = {subsets}")
     classes = list(alpha) + list(beta)
     return tuple(combo for combo in combinations(candidates, count)
                  if all(set(combo).intersection(cls) for cls in classes))
@@ -210,6 +209,7 @@ def minimal_placement(alpha_classes, beta_classes, *, sys=None, all_witnesses=Fa
     (lowest-index tie-breaks throughout) or every minimal placement when
     ``all_witnesses`` is set.  When ``sys`` is given, each returned set
     is verified to make the bare state pattern generically observable.
+    ``all_witnesses`` tests all ``count``-subsets of the class states, at most 6435.
     A class that is no collection of ints of at least 1 raises
     ``MalformedInputError``.
     """

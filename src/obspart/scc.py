@@ -44,15 +44,14 @@ def accessibility_check(sys):
     """Split the states by whether a directed path reaches a measurement.
 
     Returns ``(accessible, inaccessible)``, both ascending tuples.  A
-    state reaches a measurement exactly when it reaches a measured state,
-    whose row ends with a measurement end, so one search runs from the
-    measured states over the reversed state arcs.
+    state reaches a measurement exactly when it reaches a state that H
+    measures, so one search runs from those over the reversed state arcs.
     """
     n = sys.n
-    if sys.p == 0:
-        return (), tuple(range(1, n + 1))
-    labels, _ = search(sys.reverse,
-                       [0 if row and row[-1] >= n else -1 for row in sys.rows])
+    seeds = [-1] * n
+    for _, state in sys.h_pattern:
+        seeds[state - 1] = 0
+    labels, _ = search(sys.reverse, seeds)
     states = range(1, n + 1)
     return (tuple(compress(states, map((0).__eq__, labels))),
             tuple(compress(states, labels)))

@@ -207,6 +207,20 @@ def brute_min_sensors(n, a_entries, trials=3):
     return n, tuple(range(1, n + 1))
 
 
+def minimum_sensor_sets(sys):
+    """(sets, count): every smallest set of states, ascending, whose
+    single-state sensors make the bare system generically observable,
+    found by ``theorem_check`` on every subset, smallest first.  Reads no
+    class."""
+    bare = sys.without_measurements()
+    for size in range(bare.n + 1):
+        sets = [combo for combo in combinations(range(1, bare.n + 1), size)
+                if theorem_check(bare.with_sensor_rows(combo)).observable]
+        if sets:
+            return sets, size
+    raise AssertionError("the bare system is unobservable with every state measured")
+
+
 # ---------------------------------------------------------------------------
 # graph oracles
 

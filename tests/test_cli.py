@@ -228,13 +228,27 @@ class TestPlace:
         assert code == 0
         assert json.loads(out)["minimal_sets"] == [[4, 9, 12], [9, 12, 15]]
 
-    def test_all_witnesses_size_guard(self, tmp_path, capsys):
+    def test_all_witnesses_one_subset_accepted(self, tmp_path, capsys):
+        # 16 self-loops: 16 singleton access classes, C(16, 16) = 1 subset.
         doc = {"n": 16, "p": 0, "a": [[i, i] for i in range(1, 17)], "h": []}
-        path = tmp_path / "big.json"
+        path = tmp_path / "loops16.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run_cli(["place", str(path), "--all-witnesses"], capsys)
+        code, out, _ = run_cli(["place", str(path), "--all-witnesses"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["minimal_sets"] == [list(range(1, 17))]
+        assert report["sensor_count"] == 16
+
+    def test_all_witnesses_refused_above_the_subset_bound(self, tmp_path, capsys):
+        # Nine 2-cycles: nine two-state access classes, C(18, 9) = 48620 subsets.
+        a = [entry for k in range(1, 10) for entry in ([2 * k, 2 * k - 1], [2 * k - 1, 2 * k])]
+        path = tmp_path / "cycles9.json"
+        path.write_text(json.dumps({"n": 18, "p": 0, "a": a, "h": []}))
+        code, out, err = run_cli(["place", str(path), "--all-witnesses"], capsys)
         assert code == 2
-        assert "at most 15" in err
+        assert out == ""
+        assert err == ("obspart: error: witness enumeration tests at most 6435 "
+                       "subsets, got C(18, 9) = 48620\n")
 
     def test_all_witnesses_counts_candidates_not_states(self, tmp_path, capsys):
         # A 16-state chain has one candidate state, its sink.

@@ -1,3 +1,7 @@
+from itertools import chain
+from math import comb
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,10 +27,11 @@ from oracles import (
     greedy_row_labels,
     is_necessary,
     max_matching_size,
+    minimum_sensor_sets,
     numeric_observable,
     overlap_edges,
 )
-from strategies import systems
+from strategies import random_partitionable_system, systems
 
 
 class TestTheoremCheck:
@@ -167,10 +172,48 @@ class TestMinimalPlacement:
         assert count == 3
         assert sets == [(4, 9, 12), (9, 12, 15)]
 
-    def test_all_witnesses_guard(self):
-        big = tuple((i,) for i in range(1, 17))
-        with pytest.raises(ParameterError, match="at most 15"):
-            minimal_placement(big, (), all_witnesses=True)
+    def test_all_witnesses_one_subset_accepted(self):
+        # 16 candidate states, but C(16, 16) = 1 subset to test.
+        singles = tuple((i,) for i in range(1, 17))
+        assert minimal_placement(singles, (), all_witnesses=True) == (
+            [tuple(range(1, 17))], 16)
+
+    def test_all_witnesses_bound_is_on_subsets(self):
+        # Seven classes over 15 states: C(15, 7) = 6435 subsets, the most
+        # accepted; one state more gives C(16, 7) = 11440.
+        classes = [(2 * k - 1, 2 * k) for k in range(1, 7)] + [(13, 14, 15)]
+        sets, count = minimal_placement(classes, (), all_witnesses=True)
+        assert (len(sets), count) == (2 ** 6 * 3, 7)
+        with pytest.raises(ParameterError) as exc:
+            minimal_placement(classes[:-1] + [(13, 14, 15, 16)], (), all_witnesses=True)
+        assert str(exc.value) == ("witness enumeration tests at most 6435 subsets, "
+                                  "got C(16, 7) = 11440")
+
+    def test_all_witnesses_beyond_fifteen_candidates_match_brute_force(self):
+        # Draws with more than 15 class states: each is refused exactly when
+        # it has more than C(15, 7) subsets to test, and the small accepted
+        # ones list every smallest observable sensor set.
+        rng = np.random.default_rng(12345)
+        refused = checked = 0
+        for n_lo, n_hi in ((16, 25), (26, 40)):
+            for _ in range(200):
+                sys = random_partitionable_system(rng, n_lo=n_lo, n_hi=n_hi)
+                alpha, beta = equivalence_classes(sys)
+                candidates = len(set(chain(*alpha, *beta)))
+                if candidates <= 15:
+                    continue
+                count = minimal_placement(alpha, beta)[1]
+                if comb(candidates, count) > 6435:
+                    with pytest.raises(ParameterError, match=str(comb(candidates, count))):
+                        partition_report(sys, all_witnesses=True)
+                    refused += 1
+                    continue
+                report = partition_report(sys, all_witnesses=True)
+                if comb(sys.n, count) <= 20000:
+                    assert (list(report.minimal_sets), report.sensor_count) == \
+                        minimum_sensor_sets(sys)
+                    checked += 1
+        assert (refused, checked) == (14, 20)
 
     def test_inconsistent_classes_fail_verification(self, fix15):
         # classes that ignore the access side do not make the system
