@@ -45,9 +45,9 @@ def system_from_dict(doc):
             raise MalformedInputError(f'"{key}" must be an integer')
     sys = _plain_system(doc["n"], doc["p"], doc["a"], doc["h"], {list})
     if sys is None:
-        sys = StructuredSystem._checked(
-            doc["n"], doc["p"], _entry_list(doc["a"], "a"), _entry_list(doc["h"], "h")
-        )
+        sys = StructuredSystem(n=doc["n"], p=doc["p"],
+                               a_pattern=_entry_list(doc["a"], "a"),
+                               h_pattern=_entry_list(doc["h"], "h"))
     names = None
     if "names" in doc:
         names = doc["names"]

@@ -107,11 +107,8 @@ def _checked_classes(classes, family):
     is not iterable, or a bool or non-int state, raises ``MalformedInputError``."""
     what = f"{family} class"
     classes = [_tuple_of(what, cls) for cls in _tuple_of(f"{family} classes", classes)]
-    # One C-level type test per family; only a failing family is walked,
-    # to name its bad state.
-    if not set(map(type, chain.from_iterable(classes))) <= {int}:
-        for state in chain.from_iterable(classes):
-            _check_int(f"{what} state", state)
+    for state in chain.from_iterable(classes):
+        _check_int(f"{what} state", state)
     return classes
 
 
@@ -182,13 +179,12 @@ def _witness(alpha, beta, match_begin, match_end):
     picks = [min(set(a_cls) & set(beta[j])) if j >= 0 else a_cls[0]
              for a_cls, j in zip(alpha, match_begin)]
     picks += [b_cls[0] for b_cls, i in zip(beta, match_end) if i < 0]
-    witness = tuple(sorted(picks))
-    if len(witness) != len(picks):
+    if len(set(picks)) != len(picks):
         raise InconsistencyError(
             "placement witness collided on a state; class families are "
             "not consistent with a maximum overlap matching"
         )
-    return witness
+    return tuple(sorted(picks))
 
 
 def _all_witnesses(alpha, beta, count):

@@ -22,7 +22,9 @@ MAX_STATES = 3_037_000_499
 
 
 def _check_pattern(name, pattern, n_rows, n_cols):
-    """Raise on the first bad entry, in the pattern's own order."""
+    """The entries as a frozenset; raise on the first bad or repeated
+    entry, in the pattern's own order."""
+    seen = set()
     for entry in pattern:
         if (
             not isinstance(entry, tuple)
@@ -38,6 +40,10 @@ def _check_pattern(name, pattern, n_rows, n_cols):
                 f"{name} entry ({i}, {j}) out of range for a "
                 f"{n_rows}x{n_cols} pattern"
             )
+        if entry in seen:
+            raise MalformedInputError(f"duplicate {name[0]} pattern entry ({i}, {j})")
+        seen.add(entry)
+    return frozenset(seen)
 
 
 def _plain_system(n, p, a, h, kinds):
@@ -143,45 +149,20 @@ class StructuredSystem:
                 raise MalformedInputError(
                     f"{name} must be an iterable of entries, got {entries!r}"
                 ) from None
-            if items is entries:  # an iterator is read once: keep its entries
-                entries = list(items)
-            _check_pattern(name, entries, n_rows, self.n)
-            object.__setattr__(self, name, frozenset(entries))
+            object.__setattr__(self, name, _check_pattern(name, items, n_rows, self.n))
 
     @classmethod
     def from_entries(cls, n, p, a_entries, h_entries=()):
-        """Build a system from entry lists, rejecting duplicates.
+        """Build a system from entry lists, each entry a pair.
 
-        File parsers come through here: a repeated (i, j) pair is a sign
-        of a malformed input rather than something to merge silently.  The
-        JSON loader runs the fast check on its own lists and hands what
-        fails it to ``_checked`` directly.
+        Lists or tuples of list or tuple pairs of ints, in range and
+        without repeats, pass one fast check and are not checked again;
+        any other input goes to the constructor, which names the first bad
+        or repeated entry.
         """
         return (_plain_system(n, p, a_entries, h_entries, {list, tuple})
-                or cls._checked(n, p, a_entries, h_entries))
-
-    @classmethod
-    def _checked(cls, n, p, a_entries, h_entries):
-        """``from_entries`` for entries that failed the fast check: the
-        first repeated entry, then the constructor, name what is wrong."""
-        patterns = []
-        for name, entries in (("a", a_entries), ("h", h_entries)):
-            entries = _as_tuples(entries)
-            patterns.append(entries)
-            try:
-                pattern = frozenset(entries)
-            except TypeError:
-                # The constructor names the unhashable entry, or the
-                # pattern that is not iterable.
-                continue
-            if len(pattern) != len(entries):
-                # Only a pattern known to repeat an entry is scanned for it.
-                seen = set()
-                for e in entries:
-                    if e in seen:
-                        raise MalformedInputError(f"duplicate {name} pattern entry {e}")
-                    seen.add(e)
-        return cls(n=n, p=p, a_pattern=patterns[0], h_pattern=patterns[1])
+                or cls(n=n, p=p, a_pattern=_as_tuples(a_entries),
+                       h_pattern=_as_tuples(h_entries)))
 
     def with_sensor_rows(self, states):
         """Append one single-state measurement row per listed state."""

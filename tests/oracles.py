@@ -396,7 +396,9 @@ def is_necessary(sys, row):
 # pattern validation, one entry at a time
 
 def check_pattern_reference(name, pattern, n_rows, n_cols):
-    """The entry-by-entry pattern check, raising on the first bad entry."""
+    """The entry-by-entry pattern check, raising on the first bad entry or
+    on the first entry that an earlier one already holds."""
+    count = {}
     for entry in pattern:
         if (
             not isinstance(entry, tuple)
@@ -412,6 +414,10 @@ def check_pattern_reference(name, pattern, n_rows, n_cols):
                 f"{name} entry ({i}, {j}) out of range for a "
                 f"{n_rows}x{n_cols} pattern"
             )
+        count[i, j] = count.get((i, j), 0) + 1
+        if count[i, j] == 2:
+            letter = name.split("_")[0]
+            raise MalformedInputError(f"duplicate {letter} pattern entry ({i}, {j})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import argparse
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -523,6 +525,18 @@ class TestConsoleScript:
         # module execution without arguments prints usage and exits 2
         assert proc.returncode == 2
         assert "usage:" in proc.stderr
+
+    def test_main_line_in_process(self, monkeypatch, capsys):
+        # The line tracer of tools/src_coverage.py sees only this process.
+        monkeypatch.setattr(sys, "argv", ["obspart", "--version"])
+        with warnings.catch_warnings():
+            # runpy warns that obspart.cli is already imported.
+            warnings.filterwarnings("ignore", category=RuntimeWarning,
+                                    message=".*found in sys.modules")
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("obspart.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"obspart {obspart.__version__}\n"
 
     def test_subprocess_analyze(self, chain_path):
         # Run the declared `obspart` entry point the way the script that

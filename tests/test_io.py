@@ -87,7 +87,8 @@ def _outcome(load, doc):
 
 class TestLoaderRoutes:
     """Plain documents skip the checked route; every other document takes
-    it, so its messages and their precedence stay as they were."""
+    it: the loader's shape checks, then the constructor's checks of n, p,
+    each A entry and each H entry, in that order."""
 
     @settings(max_examples=500)
     @given(system_documents())
@@ -102,9 +103,10 @@ class TestLoaderRoutes:
             check_pattern_reference("h_pattern", h_pattern, p, n)
 
     @pytest.mark.parametrize("changes, message", [
-        ({"a": [[2.0, 1], [2, 1]]}, "duplicate a pattern entry (2, 1)"),
-        ({"n": 0, "a": [[1, 1], [1, 1]]}, "duplicate a pattern entry (1, 1)"),
-        ({"a": [[0, 1]], "h": [[1, 1], [1, 1]]}, "duplicate h pattern entry (1, 1)"),
+        ({"a": [[2.0, 1], [2, 1]]}, "a_pattern entry (2.0, 1) is not a pair of integers"),
+        ({"n": 0, "a": [[1, 1], [1, 1]]}, "n must be a positive integer, got 0"),
+        ({"a": [[0, 1]], "h": [[1, 1], [1, 1]]},
+         "a_pattern entry (0, 1) out of range for a 3x3 pattern"),
         ({"a": [[True, 1]]}, "a_pattern entry (True, 1) is not a pair of integers"),
         ({"a": [[1, 2, 3]]}, '"a" entry [1, 2, 3] is not a [row, column] pair'),
         # Past int64, so the fast check's array cannot hold the entry.

@@ -635,6 +635,12 @@ class TestVerifyAlpha:
         assert verify_alpha_equivalence(fix15, 4, 15)
         assert not verify_alpha_equivalence(fix15, 2, 4)
 
+    def test_numeric_rank_below_the_structural_one_is_rejected(self, fix15):
+        # 2 and 7 share a rank class, so every structural probe passes; at
+        # tol 0.9 the realization's SVD counts fewer ranks than they do.
+        assert verify_alpha_equivalence(fix15, 2, 7)
+        assert not verify_alpha_equivalence(fix15, 2, 7, tol=0.9)
+
     def test_bad_seed_raises_for_every_pair(self):
         # (1, 2) fails the structural test, so the seed was never read there.
         chain = S(3, 0, [(2, 1), (3, 2)])

@@ -160,6 +160,12 @@ class TestMinimalPlacement:
             minimal_placement(alpha, [])
         assert str(exc.value) == message
 
+    def test_witness_refuses_a_repeated_state(self):
+        # Both classes are left unmatched, which no maximum matching does
+        # when they share state 1, so each picks it.
+        with pytest.raises(InconsistencyError, match="collided on a state"):
+            partition._witness(((1,),), ((1,),), (-1,), (-1,))
+
     def test_witness_verification_against_system(self, fix15):
         sets, count = minimal_placement(*equivalence_classes(fix15), sys=fix15)
         assert count == 3

@@ -166,6 +166,45 @@ class TestStructuredSystem:
         with pytest.raises(MalformedInputError, match="duplicate h"):
             S(3, 2, [], [(1, 1), (1, 1)])
 
+    @pytest.mark.parametrize("a, h, message", [
+        ([(1, 1), (1, 1)], [], "duplicate a pattern entry (1, 1)"),
+        ([], [(1, 2), (1, 1), (1, 2)], "duplicate h pattern entry (1, 2)"),
+        ([(1, 1), (3, 1), (1, 1)], [],
+         "a_pattern entry (3, 1) out of range for a 2x2 pattern"),
+    ])
+    def test_constructor_rejects_the_first_repeated_entry(self, a, h, message):
+        assert _message(StructuredSystem, 2, 1, iter(a), h) == message
+        assert _message(StructuredSystem.from_entries, 2, 1, a, h) == message
+
+    @given(st.data())
+    def test_from_entries_is_the_constructor_on_pairs_with_repeats(self, data):
+        n, p = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+
+        def pairs(rows):
+            # Mostly in range, so that a repeat often comes before a bad entry.
+            inside = st.tuples(st.integers(1, max(rows, 1)), st.integers(1, n))
+            anywhere = st.tuples(st.integers(0, 4), st.integers(0, 4))
+            return st.lists(st.one_of(inside, inside, anywhere), max_size=6)
+
+        a, h = data.draw(pairs(n)), data.draw(pairs(p))
+
+        def outcome(build):
+            try:
+                sys = build()
+            except MalformedInputError as exc:
+                return str(exc)
+            return sys.n, sys.p, sys.a_pattern, sys.h_pattern
+
+        built = outcome(lambda: StructuredSystem(n=n, p=p, a_pattern=a, h_pattern=h))
+        assert outcome(lambda: StructuredSystem.from_entries(n, p, a, h)) == built
+
+        def reference():
+            check_pattern_reference("a_pattern", a, n, n)
+            check_pattern_reference("h_pattern", h, p, n)
+            return StructuredSystem(n=n, p=p, a_pattern=set(a), h_pattern=set(h))
+
+        assert outcome(reference) == built
+
     def test_with_sensor_rows_appends(self):
         sys = S(3, 1, [(2, 1)], [(1, 3)])
         grown = sys.with_sensor_rows([2, 1])
