@@ -27,7 +27,7 @@ COLOR_MODES = ("alpha", "beta", "scc")
 
 def _fills(sys, color_by):
     if color_by == "scc":
-        groups = decompose(sys).components
+        groups = sys.without_measurements().memo(decompose).components
     elif color_by == "alpha":
         groups = rank_classes(sys)
     else:

@@ -11,14 +11,15 @@ import math
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import NumericError, ParameterError, PreconditionError
 from .matching import s_rank
 from .partition import theorem_check
-from .structure import _tuple_of
+from .scc import _decompose, decompose
+from .structure import _rows, _tuple_of
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 5
@@ -30,6 +31,9 @@ DEFAULT_TOL = 1e-8
 # realizes, that is 2 * 8 * 2048^2 * 8 bytes = 512 MiB.
 _TRIAL_BLOCK = 8
 NUMERIC_STATE_LIMIT = 2048
+
+# Below this many states one eigvals of A costs less than splitting it.
+_COMPONENT_SPECTRUM_STATES = 64
 
 _LOG_LO = math.log(0.5)
 _LOG_HI = math.log(2.0)
@@ -237,9 +241,28 @@ def _eigvals(matrix, a):
         ) from exc
 
 
-def _unobservable_modes(r, basis, tol):
-    """Eigenvalues of A, as ``np.linalg.eigvals`` lists them, at which PBH
-    fails, given an orthonormal basis of the observable row space.
+def _spectrum(a, decomposition):
+    """Eigenvalues of A.  From ``_COMPONENT_SPECTRUM_STATES`` states up, they
+    come from the diagonal blocks of the components of ``decomposition()``,
+    on which A is block triangular: a one-state block gives its entry, and
+    the blocks of one size share one stacked ``eigvals``."""
+    members = decomposition().components if len(a) >= _COMPONENT_SPECTRUM_STATES else ()
+    if len(members) < 2:
+        return _eigvals(a, a)
+    by_size = {}
+    for states in members:
+        by_size.setdefault(len(states), []).append(states)
+    parts = []
+    for k, blocks in sorted(by_size.items()):
+        index = np.subtract(blocks, 1)
+        block = a[index[:, :, None], index[:, None, :]]
+        parts.append((block if k == 1 else _eigvals(block, a)).ravel())
+    return np.concatenate(parts)
+
+
+def _unobservable_modes(r, basis, tol, decomposition):
+    """Eigenvalues of A, as ``_spectrum`` lists them, at which PBH fails,
+    given an orthonormal basis of the observable row space.
 
     An eigenvalue fails when the smallest singular value of B - lambda*I,
     B = W^T A W on the basis's orthogonal complement W, is at most ``tol``
@@ -257,7 +280,7 @@ def _unobservable_modes(r, basis, tol):
     if rank == n:
         return ()
     eigenvalues = np.asarray(
-        sorted(_eigvals(a, a), key=lambda z: (z.real, z.imag)), dtype=complex
+        sorted(_spectrum(a, decomposition), key=lambda z: (z.real, z.imag)), dtype=complex
     )
     if rank == 0:
         # The complete QR of an empty basis is exactly the identity, so
@@ -288,10 +311,12 @@ def _unobservable_modes(r, basis, tol):
 def pbh_check(r, tol=DEFAULT_TOL):
     """Eigenvalues of A at which [A - lambda*I; H] loses column rank.
 
-    The eigenvalues are reported exactly as ``np.linalg.eigvals`` returns
-    them for the raw A, sorted by (real, imag), one entry per listed copy.
+    They are sorted by (real, imag), one entry per listed copy, and below
+    64 states exactly as ``np.linalg.eigvals`` returns them for the raw A;
+    from 64 up they come from the components of A's nonzeros.
     """
-    return _unobservable_modes(r, _single_basis(r, tol), tol)
+    return _unobservable_modes(r, _single_basis(r, tol), tol,
+                               lambda: _decompose(_rows(len(r.a), np.flatnonzero(r.a))))
 
 
 @dataclass(frozen=True)
@@ -313,7 +338,7 @@ def rank_report(sys, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
 
     ``pbh_check`` lists an eigenvalue exactly when the rank falls short of
     n, so each trial's PBH verdict is read off its rank; the deficient
-    eigenvalues reported are trial 0's.
+    eigenvalues reported are trial 0's, from the bare system's ``decompose``.
     """
     ranks, first, first_basis = _trial_ranks(sys, seed, trials, tol)
     modal, agreement = _modal(ranks)
@@ -324,7 +349,8 @@ def rank_report(sys, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
         gramian_rank=modal,
         agreement=agreement,
         gramian_ranks=tuple(ranks),
-        pbh_rank_deficient_eigenvalues=_unobservable_modes(first, first_basis, tol),
+        pbh_rank_deficient_eigenvalues=_unobservable_modes(
+            first, first_basis, tol, partial(sys.without_measurements().memo, decompose)),
         pbh_observable=tuple(k == sys.n for k in ranks),
     )
 

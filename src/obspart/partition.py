@@ -94,7 +94,7 @@ def _rank_classes(bare):
 
 
 def _access_classes(bare):
-    dec = decompose(bare)
+    dec = bare.memo(decompose)
     comp = dec.comp
     held = {comp[cls[0] - 1] for cls in rank_classes(bare)
             if len({comp[s - 1] for s in cls}) == 1}

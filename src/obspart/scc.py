@@ -24,7 +24,11 @@ class SccDecomposition:
 
 def decompose(sys):
     """SCC decomposition of the state part of a system's graph."""
-    comp_raw, n_comp, exits = tarjan_scc(sys.without_measurements().rows)
+    return _decompose(sys.without_measurements().rows)
+
+
+def _decompose(rows):
+    comp_raw, n_comp, exits = tarjan_scc(rows)
 
     # States are scanned in ascending order, so each group lists its states
     # ascending and the groups come in order of their lowest member.

@@ -9,7 +9,10 @@ import math
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+import obspart.numeric as numeric
 from obspart.errors import (
     MalformedInputError,
     NumericError,
@@ -17,7 +20,7 @@ from obspart.errors import (
     PreconditionError,
 )
 from obspart.partition import theorem_check
-from obspart.structure import StructuredSystem
+from obspart.structure import MAX_STATES, StructuredSystem
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +440,9 @@ def _entry_list_reference(raw, key):
 
 
 def system_from_dict_reference(doc):
-    """The loader's checked route alone: every document goes through
-    ``_entry_list`` and ``StructuredSystem.from_entries``."""
+    """The loader's checked route, checked here: the JSON shape, each
+    entry list, n, p, then every A entry and every H entry one at a time,
+    before ``StructuredSystem.from_entries`` builds what passed."""
     if not isinstance(doc, dict):
         raise MalformedInputError("system file must contain a JSON object")
     for key in doc:
@@ -450,10 +454,20 @@ def system_from_dict_reference(doc):
     for key in ("n", "p"):
         if not isinstance(doc[key], int) or isinstance(doc[key], bool):
             raise MalformedInputError(f'"{key}" must be an integer')
-    sys = StructuredSystem.from_entries(
-        doc["n"], doc["p"], _entry_list_reference(doc["a"], "a"),
-        _entry_list_reference(doc["h"], "h")
-    )
+    n, p = doc["n"], doc["p"]
+    a_entries = _entry_list_reference(doc["a"], "a")
+    h_entries = _entry_list_reference(doc["h"], "h")
+    if n < 1:
+        raise MalformedInputError(f"n must be a positive integer, got {n!r}")
+    if n > MAX_STATES:
+        raise MalformedInputError(f"n must be at most {MAX_STATES}, got {n}")
+    if p < 0:
+        raise MalformedInputError(f"p must be a non-negative integer, got {p!r}")
+    if p > MAX_STATES:
+        raise MalformedInputError(f"p must be at most {MAX_STATES}, got {p}")
+    check_pattern_reference("a_pattern", a_entries, n, n)
+    check_pattern_reference("h_pattern", h_entries, p, n)
+    sys = StructuredSystem.from_entries(n, p, a_entries, h_entries)
     names = None
     if "names" in doc:
         names = doc["names"]
@@ -527,13 +541,32 @@ def _eigvals(matrix, a):
         ) from exc
 
 
-def unobservable_modes_reference(r, basis, tol):
-    """The PBH test as it was before rank 0 skipped the block eigensolve.
+def spectrum_reference(a):
+    """Eigenvalues of A: from ``numeric._COMPONENT_SPECTRUM_STATES``
+    states up, one unstacked ``eigvals`` per diagonal block of a strongly
+    connected component of A's nonzeros, found by scipy.
 
-    Kept verbatim as the bitwise reference for ``pbh_check`` and
-    ``rank_report``: eigenvalues of A, as ``np.linalg.eigvals`` lists
-    them, at which PBH fails, given an orthonormal basis of the
-    observable row space.
+    The blocks go in order of (size, lowest state), the order in which
+    ``numeric._spectrum`` lists its stacks, so that eigenvalues which
+    compare equal, such as 0.0 and -0.0, sort alike in both.  Below the
+    gate, or for one component, it is one ``eigvals`` of the whole A.
+    """
+    n = a.shape[0]
+    if n < numeric._COMPONENT_SPECTRUM_STATES:
+        return _eigvals(a, a)
+    count, labels = connected_components(csr_matrix(a != 0), connection="strong")
+    blocks = sorted((np.flatnonzero(labels == c) for c in range(count)),
+                    key=lambda states: (len(states), states[0]))
+    return np.concatenate([_eigvals(a[np.ix_(states, states)], a) for states in blocks])
+
+
+def unobservable_modes_reference(r, basis, tol):
+    """The PBH test as it was before rank 0 skipped the block eigensolve,
+    on the spectrum of ``spectrum_reference``.
+
+    The bitwise reference for ``pbh_check`` and ``rank_report``:
+    eigenvalues of A at which PBH fails, given an orthonormal basis of
+    the observable row space.
 
     The orthogonal complement W of the basis is A-invariant and H vanishes
     on it, so in the basis [basis; W^T] the pencil [A - lambda*I; H] has
@@ -558,7 +591,7 @@ def unobservable_modes_reference(r, basis, tol):
     if rank == n:
         return ()
     eigenvalues = np.asarray(
-        sorted(_eigvals(a, a), key=lambda z: (z.real, z.imag)), dtype=complex
+        sorted(spectrum_reference(a), key=lambda z: (z.real, z.imag)), dtype=complex
     )
     q, _ = np.linalg.qr(basis.T, mode="complete")
     w = q[:, rank:]

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 if sys.version_info >= (3, 11):
@@ -604,6 +605,32 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 0, 0] []"
+
+
+class TestBlasThreads:
+    def test_analyze_bytes_do_not_depend_on_the_thread_count(self, tmp_path,
+                                                            monkeypatch):
+        # The eigenvalues of the n = 400 chain come from its small
+        # components, whose eigensolves no BLAS thread count splits; one
+        # eigvals of the whole A summed in another order under 2 threads.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import gen
+
+        n, a, h = gen.chain_system(np.random.default_rng(400), 400)
+        path = tmp_path / "chain400.json"
+        path.write_text(json.dumps({"n": n, "p": len(h), "a": a, "h": h}))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "obspart.cli", "analyze", str(path)],
+                capture_output=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert json.loads(outputs[0])["rank"]["pbh_rank_deficient_eigenvalues"]
+        assert outputs[0] == outputs[1]
 
 
 class TestPublicNames:

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from obspart import ParameterError, export_dot, partition_report
-from obspart import matching, scc
+from obspart import ParameterError, export_dot, partition_report, rank_report
+from obspart import _kernels, matching, numeric, scc
 from conftest import FIX15_A, S
 
 _LINE = re.compile(
@@ -131,6 +131,23 @@ class TestExportDot:
 
 
 class TestClassBudget:
+    def test_one_tarjan_pass_per_bare_system(self, count_calls):
+        # 33 two-cycles in a chain, seen at x1: unobservable, and large
+        # enough for the PBH spectrum to split along the components.
+        a = [(2 * k - 1, 2 * k) for k in range(1, 34)] + [
+            (2 * k, 2 * k - 1) for k in range(1, 34)] + [
+            (2 * k + 1, 2 * k) for k in range(1, 33)]
+        sys = S(66, 1, a, [(1, 1)])
+        passes = count_calls(_kernels.tarjan_scc)
+        partition_report(sys)
+        report = rank_report(sys)
+        export_dot(sys, color_by="scc")
+        export_dot(sys.with_sensor_rows([5]), color_by="beta")
+        assert sys.n >= numeric._COMPONENT_SPECTRUM_STATES
+        assert report.gramian_rank == 2
+        assert len(report.pbh_rank_deficient_eigenvalues) == 64
+        assert len(passes) == 1
+
     def test_alpha_coloring_computes_only_the_rank_classes(self, count_calls):
         sys = S(15, 2, FIX15_A, [(1, 9), (2, 12)])
         n_contractions = count_calls(matching.contractions)

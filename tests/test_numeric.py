@@ -14,6 +14,7 @@ from obspart import (
     NumericRealization,
     ParameterError,
     PreconditionError,
+    decompose,
     gramian_rank,
     modal_gramian_rank,
     pbh_check,
@@ -536,22 +537,39 @@ class TestPbh:
             pbh_check(r)
 
 
+def assert_pbh_as_reference(sys, sensors, drop, tol, seed):
+    """``pbh_check`` and ``rank_report`` list bitwise the reference's
+    modes on the system, its bare system, and the system with sensors
+    added or row ``drop`` dropped."""
+    sensors = [min(s, sys.n) for s in sensors]
+    derived = [sys, sys.without_measurements(), sys.with_sensor_rows(sensors)]
+    if 1 <= drop <= sys.p:
+        derived.append(sys.without_row(drop))
+    for system in derived:
+        r = NumericRealization(*realize_reference(system, seed, 0), seed, 0)
+        want = unobservable_modes_reference(
+            r, observable_basis_reference(r, tol), tol)
+        assert_same_modes(pbh_check(r, tol), want)
+        report = rank_report(system, seed, trials=2, tol=tol)
+        assert_same_modes(report.pbh_rank_deficient_eigenvalues, want)
+
+
 class TestPbhReference:
     @given(systems(p_max=3), st.lists(st.integers(1, 8), max_size=3),
            st.integers(0, 3), st.sampled_from([1e-8, 1e-6, 1.0, 2.0]),
            st.integers(0, 2**32 - 1))
     def test_bitwise_the_reference(self, sys, sensors, drop, tol, seed):
-        sensors = [min(s, sys.n) for s in sensors]
-        derived = [sys, sys.without_measurements(), sys.with_sensor_rows(sensors)]
-        if 1 <= drop <= sys.p:
-            derived.append(sys.without_row(drop))
-        for system in derived:
-            r = NumericRealization(*realize_reference(system, seed, 0), seed, 0)
-            want = unobservable_modes_reference(
-                r, observable_basis_reference(r, tol), tol)
-            assert_same_modes(pbh_check(r, tol), want)
-            report = rank_report(system, seed, trials=2, tol=tol)
-            assert_same_modes(report.pbh_rank_deficient_eigenvalues, want)
+        assert_pbh_as_reference(sys, sensors, drop, tol, seed)
+
+    @given(systems(p_max=3), st.lists(st.integers(1, 8), max_size=3),
+           st.integers(0, 3), st.sampled_from([1e-8, 1e-6, 1.0, 2.0]),
+           st.integers(0, 2**32 - 1))
+    def test_bitwise_the_reference_by_component(self, sys, sensors, drop, tol, seed):
+        # With the gate at 0 every system takes its eigenvalues from the
+        # diagonal blocks of its components, as systems of 64 states do.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numeric, "_COMPONENT_SPECTRUM_STATES", 0)
+            assert_pbh_as_reference(sys, sensors, drop, tol, seed)
 
     @pytest.mark.parametrize("diagonal, want, exact_norms", [
         # x1's gap 1e-3 is above sqrt(tol) * F: it passes on the bound alone.
@@ -582,6 +600,62 @@ class TestPbhReference:
         assert_same_modes(got, expected)
         assert got == want
         assert norms.count(2) == exact_norms
+
+
+class TestPbhComponents:
+    def test_chain_lists_the_report_modes_and_exact_zeros(self):
+        sys = block_chain(np.random.default_rng(17), 130, 6)
+        assert sys.n >= numeric._COMPONENT_SPECTRUM_STATES
+        report = rank_report(sys)
+        modes = report.pbh_rank_deficient_eigenvalues
+        assert report.gramian_rank < sys.n
+        assert_same_modes(pbh_check(realize(sys)), modes)
+        loops = {i for i, j in sys.a_pattern if i == j}
+        unlooped = [c for c in decompose(sys).components
+                    if len(c) == 1 and c[0] not in loops]
+        assert set(theorem_check(sys).inaccessible) & {c[0] for c in unlooped}
+        assert sum(z == 0 for z in modes) == len(unlooped) > 0
+
+    def test_blocks_of_one_size_share_one_eigensolve(self, monkeypatch):
+        # Components {1, 2}, {3, 4}, {5, 6, 7}, {8} and {9}; no rows, so
+        # every eigenvalue fails and no block of the complement is solved.
+        a = np.zeros((9, 9))
+        for i, j, v in [(0, 1, 1.0), (1, 0, -2.0), (2, 3, 3.0), (3, 2, 0.5),
+                        (4, 5, 1.0), (5, 6, 1.0), (6, 4, 1.5), (7, 7, -0.75),
+                        (2, 0, 1.0), (4, 3, 1.0)]:
+            a[i, j] = v
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counted(matrix):
+            shapes.append(matrix.shape)
+            return eigvals(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        monkeypatch.setattr(numeric, "_COMPONENT_SPECTRUM_STATES", 0)
+        got = pbh_check(NumericRealization(a=a, h=np.zeros((0, 9)), seed=0, trial=0))
+        assert shapes == [(2, 2, 2), (1, 3, 3)]
+        assert got.count(0j) == 1 and got.count(-0.75 + 0j) == 1
+        gaps = np.abs(np.subtract.outer(np.array(got), eigvals(a)))
+        assert len(got) == 9 and gaps.min(axis=0).max() < 1e-12
+        assert gaps.min(axis=1).max() < 1e-12
+
+    def test_eigensolver_failure_is_a_numeric_error(self, monkeypatch):
+        shapes = []
+
+        def fail(matrix):
+            shapes.append(matrix.shape)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        monkeypatch.setattr(numeric, "_COMPONENT_SPECTRUM_STATES", 0)
+        # A 2-cycle seen at x1 and an unseen x3 with a self-loop.
+        a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        r = NumericRealization(a=a, h=np.array([[1.0, 0.0, 0.0]]), seed=0, trial=0)
+        with pytest.raises(NumericError,
+                           match=r"^eigensolver failed: Eigenvalues did not converge\nA = \["):
+            pbh_check(r)
+        assert shapes == [(1, 2, 2)]
 
 
 class TestRankReport:
