@@ -11,7 +11,7 @@ import math
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -350,7 +350,7 @@ def rank_report(sys, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL):
         agreement=agreement,
         gramian_ranks=tuple(ranks),
         pbh_rank_deficient_eigenvalues=_unobservable_modes(
-            first, first_basis, tol, partial(sys.without_measurements().memo, decompose)),
+            first, first_basis, tol, lambda: sys.without_measurements().memo(decompose)),
         pbh_observable=tuple(k == sys.n for k in ranks),
     )
 
