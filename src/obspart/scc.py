@@ -24,11 +24,7 @@ class SccDecomposition:
 
 def decompose(sys):
     """SCC decomposition of the state part of a system's graph."""
-    return _decompose(sys.without_measurements().rows)
-
-
-def _decompose(rows):
-    comp_raw, n_comp, exits = tarjan_scc(rows)
+    comp_raw, n_comp, exits = tarjan_scc(sys.without_measurements().rows)
 
     # States are scanned in ascending order, so each group lists its states
     # ascending and the groups come in order of their lowest member.

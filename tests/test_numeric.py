@@ -28,6 +28,7 @@ from obspart import (
 )
 import obspart.numeric as numeric
 from obspart.numeric import (
+    DEFAULT_SEED,
     NUMERIC_STATE_LIMIT,
     _TRIAL_BLOCK,
     _observable_bases,
@@ -177,11 +178,15 @@ class TestGramianRank:
     ])
     def test_no_overcount_past_the_accessible_states(self, seed, n, sensors, exact):
         # Grown on all n states, rounding leaked into the inaccessible
-        # columns: every trial read 76 and 69 here.
+        # columns: every trial read 76 and 69 here, and the lone
+        # realization's PBH list held 61 and 33 modes against 68 and 39.
         sys = block_chain(np.random.default_rng(seed), n, sensors)
         a, h = sorted(sys.a_pattern), sorted(sys.h_pattern)
         assert exact_krylov_rank(sys.n, a, h) == exact
-        assert rank_report(sys).gramian_ranks == (exact,) * 5
+        report = rank_report(sys)
+        assert report.gramian_ranks == (exact,) * 5
+        assert [gramian_rank(realize(sys, DEFAULT_SEED, t)) for t in range(5)] == [exact] * 5
+        assert_same_modes(pbh_check(realize(sys)), report.pbh_rank_deficient_eigenvalues)
 
     @given(systems(), st.lists(st.integers(1, 8), max_size=3))
     def test_rank_never_exceeds_the_accessible_states(self, sys, sensors):
