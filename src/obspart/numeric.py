@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, PreconditionError
 from .matching import s_rank
-from .partition import theorem_check
-from .scc import decompose
+from .scc import accessibility_check, decompose
 from .structure import StructuredSystem, _tuple_of
 
 DEFAULT_SEED = 42
@@ -190,7 +189,7 @@ def _grown_bases(sys, blocks, tol):
     grows: a sliced A stack is then freed before the basis buffer is
     allocated, which took 0.4 ms off a 6.5 ms report at n = 130 on one
     BLAS thread of a shared 2-core machine."""
-    inaccessible = np.array(sys.memo(theorem_check).inaccessible, dtype=np.intp) - 1
+    inaccessible = np.array(sys.memo(accessibility_check)[1], dtype=np.intp) - 1
     accessible = np.delete(np.arange(sys.n), inaccessible)
     ranks = []
     for a, h in blocks:

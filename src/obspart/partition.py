@@ -51,9 +51,10 @@ def theorem_check(sys):
     """Generic observability: accessibility plus full structural rank.
 
     When both conditions fail, accessibility is the reported reason —
-    it is the cheaper one to explain and to fix.
+    it is the cheaper one to explain and to fix.  The accessibility split
+    is kept with the system, where the numeric oracle reads it.
     """
-    _, inaccessible = accessibility_check(sys)
+    _, inaccessible = sys.memo(accessibility_check)
     rank = s_rank(sys, include_h=True)
     if inaccessible:
         failed = "accessibility"

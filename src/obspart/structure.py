@@ -51,25 +51,25 @@ def _plain_system(n, p, a, h, kinds):
     containers of ``kinds`` pairs of ints, in range and without repeats,
     checked before anything is hashed; None for any other input, which
     the caller's checked route then names.  The checked entries become
-    the system's kept keys, so neither pattern is flattened again."""
+    the system's kept keys, so neither pattern is flattened again, and A
+    is kept as those keys alone."""
     if not (type(n) is int and type(p) is int and 1 <= n <= MAX_STATES
             and 0 <= p <= MAX_STATES and type(a) in kinds and type(h) in kinds):
         return None
-    flats, patterns = [], []
+    keys = []
     for raw, n_rows in ((a, n), (h, p)):
         flat = _plain_pairs(raw, kinds, n_rows, n)
         if flat is None:
             return None
-        pattern = frozenset(map(tuple, raw))
-        if len(pattern) != len(raw):  # a repeated entry
+        sorted_keys = _sorted_keys(flat, n)
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():  # a repeated entry
             return None
-        flats.append(flat)
-        patterns.append(pattern)
-    a_keys, h_keys = (_sorted_keys(flat, n) for flat in flats)
+        keys.append(sorted_keys)
+    a_keys, h_keys = keys
     if p == 0:
-        return _unchecked(n, 0, *patterns, _a_keys=a_keys, _h_keys=h_keys)
-    bare = _unchecked(n, 0, patterns[0], frozenset(), _a_keys=a_keys)
-    return _unchecked(n, p, *patterns, _bare=bare, _h_keys=h_keys)
+        return _unchecked(n, 0, frozenset(), _a_keys=a_keys, _h_keys=h_keys)
+    bare = _unchecked(n, 0, frozenset(), _a_keys=a_keys)
+    return _unchecked(n, p, frozenset(map(tuple, h)), _bare=bare, _h_keys=h_keys)
 
 
 def _plain_pairs(pattern, kinds, n_rows, n_cols):
@@ -188,17 +188,28 @@ class StructuredSystem:
 
     @cached_property
     def _bare(self):
-        return _unchecked(self.n, 0, self.a_pattern, frozenset())
+        return _unchecked(self.n, 0, frozenset(), a_pattern=self.a_pattern)
 
     def _derived(self, p, h_pattern):
         """This system's A pattern with new measurement rows, sharing its
         bare system (or that bare system itself when no row is left).  A
         was validated when this system was built and the callers check
-        every row they add, so ``__post_init__`` is not run again."""
+        every row they add, so ``__post_init__`` is not run again; the
+        new system keeps no A pattern of its own."""
         bare = self.without_measurements()
         if p == 0:
             return bare
-        return _unchecked(self.n, p, self.a_pattern, h_pattern, _bare=bare)
+        return _unchecked(self.n, p, h_pattern, _bare=bare)
+
+    def __getattr__(self, name):
+        """``a_pattern`` of a system that keeps no A pattern, built from
+        its bare system's keys on each read and never stored."""
+        if name != "a_pattern":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}",
+                name=name, obj=self)
+        n, keys = self.n, self._a_keys
+        return frozenset(zip((keys // n + 1).tolist(), (keys % n + 1).tolist()))
 
     def memo(self, compute):
         """``compute(self)``, worked out once per system and kept with it.
@@ -260,7 +271,8 @@ class StructuredSystem:
     def _a_keys(self):
         """The A entries (i, j) as sorted keys (i - 1) * n + j - 1, kept by
         the bare system: the ints ``_plain_system`` checked, or the pattern
-        flattened here on first use (a system built directly or derived)."""
+        flattened here on first use (a system built directly, or the bare
+        system of one)."""
         if self.p:
             return self._bare._a_keys
         return _sorted_keys(_flat_entries(self.a_pattern), self.n)
@@ -313,14 +325,12 @@ def _rows(n, keys):
     return tuple([ends[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
 
 
-def _unchecked(n, p, a_pattern, h_pattern, **cached):
+def _unchecked(n, p, h_pattern, **kept):
     """A system from already validated parts, skipping ``__post_init__``;
-    ``cached`` holds the values of cached properties the caller has."""
+    ``kept`` holds its ``a_pattern``, if it keeps one, and the values of
+    cached properties the caller has."""
     system = object.__new__(StructuredSystem)
-    for name, value in (("n", n), ("p", p),
-                        ("a_pattern", a_pattern), ("h_pattern", h_pattern)):
-        object.__setattr__(system, name, value)
-    system.__dict__.update(cached)
+    system.__dict__.update(n=n, p=p, h_pattern=h_pattern, **kept)
     return system
 
 

@@ -25,7 +25,11 @@ def test_sweep_at_one_thousand_states(tmp_path):
                         "structural", "oracle"}
     assert doc["repeats"] == 5 and doc["oracle"] == []
     [row] = doc["structural"]
+    assert set(row) == {"n", "p", "a_entries", "h_entries", "from_entries_memory", "layers"}
     assert row["n"] == 1000 and row["p"] == 50
+    memory = row["from_entries_memory"]
+    assert set(memory) == {"held_bytes", "peak_bytes"}
+    assert 0 < memory["held_bytes"] <= memory["peak_bytes"]
     assert set(row["layers"]) == LAYERS
     for name, value in row["layers"].items():
         assert set(value) == ({"seconds", "probe_units", "calls"} if name in KERNELS

@@ -27,6 +27,7 @@ from obspart import (
     verify_beta_equivalence,
 )
 import obspart.numeric as numeric
+from obspart import structure
 from obspart.numeric import (
     DEFAULT_SEED,
     NUMERIC_STATE_LIMIT,
@@ -186,6 +187,21 @@ class TestGramianRank:
         report = rank_report(sys)
         assert report.gramian_ranks == (exact,) * 5
         assert [gramian_rank(realize(sys, DEFAULT_SEED, t)) for t in range(5)] == [exact] * 5
+        assert_same_modes(pbh_check(realize(sys)), report.pbh_rank_deficient_eigenvalues)
+
+    @pytest.mark.parametrize("seed, n, sensors", [(19, 130, 6), (36, 100, 4)])
+    def test_lone_route_runs_no_matching(self, monkeypatch, seed, n, sensors):
+        # The bases read the accessibility split of the realization's
+        # pattern, never its structural rank.
+        sys = block_chain(np.random.default_rng(seed), n, sensors)
+        report = rank_report(sys)
+
+        def no_matching(*args, **kwargs):
+            raise AssertionError("hopcroft_karp ran")
+
+        monkeypatch.setattr(structure, "hopcroft_karp", no_matching)
+        ranks = tuple(gramian_rank(realize(sys, DEFAULT_SEED, t)) for t in range(5))
+        assert ranks == report.gramian_ranks
         assert_same_modes(pbh_check(realize(sys)), report.pbh_rank_deficient_eigenvalues)
 
     @given(systems(), st.lists(st.integers(1, 8), max_size=3))

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import re
 from collections import namedtuple
 from functools import partial
@@ -18,7 +20,7 @@ from obspart import (
     decompose,
     s_rank,
 )
-from obspart.io import system_from_dict
+from obspart.io import load_system, system_from_dict
 from obspart.structure import _check_pattern
 from conftest import S
 from oracles import check_pattern_reference, csr_to_rows, system_to_dict
@@ -171,10 +173,15 @@ class TestStructuredSystem:
         ([], [(1, 2), (1, 1), (1, 2)], "duplicate h pattern entry (1, 2)"),
         ([(1, 1), (3, 1), (1, 1)], [],
          "a_pattern entry (3, 1) out of range for a 2x2 pattern"),
+        # Sorted, (1, 1) repeats first; in input order, (2, 2) does.
+        ([(2, 2), (1, 1), (2, 2), (1, 1)], [], "duplicate a pattern entry (2, 2)"),
+        ([(1, 2), (2, 1), (1, 2)], [(1, 1), (1, 1)], "duplicate a pattern entry (1, 2)"),
     ])
     def test_constructor_rejects_the_first_repeated_entry(self, a, h, message):
         assert _message(StructuredSystem, 2, 1, iter(a), h) == message
         assert _message(StructuredSystem.from_entries, 2, 1, a, h) == message
+        doc = {"n": 2, "p": 1, "a": [list(e) for e in a], "h": [list(e) for e in h]}
+        assert _message(system_from_dict, doc) == message
 
     @given(st.data())
     def test_from_entries_is_the_constructor_on_pairs_with_repeats(self, data):
@@ -256,6 +263,65 @@ class TestStructuredSystem:
             S(3, 0, [(1, 2), (2, 3), (3, 3), (2, 3), (1, 2)])
         with pytest.raises(MalformedInputError, match=r"duplicate h pattern entry \(1, 2\)"):
             S(3, 1, [(1, 2), (2, 1)], [[1, 2], (1, 2)])
+
+
+class TestAKeptAsKeys:
+    """A system that passed the fast pattern check, and any system derived
+    from another, keeps A only as its bare system's sorted keys;
+    ``a_pattern`` is built from them on each read."""
+
+    A = [(3, 2), (2, 1), (1, 1), (2, 3)]
+    H = [(1, 3), (2, 1)]
+
+    def routes(self, tmp_path):
+        """{route: (system, (p, H) of its twin built by the constructor)}."""
+        doc = {"n": 3, "p": 2, "a": [list(e) for e in self.A],
+               "h": [list(e) for e in self.H]}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        direct = StructuredSystem(n=3, p=2, a_pattern=self.A, h_pattern=self.H)
+        built = StructuredSystem.from_entries(3, 2, self.A, self.H)
+        return {
+            "load_system": (load_system(path)[0], (2, self.H)),
+            "system_from_dict": (system_from_dict(doc)[0], (2, self.H)),
+            "from_entries": (built, (2, self.H)),
+            "from_entries p=0": (StructuredSystem.from_entries(3, 0, self.A), (0, [])),
+            "with_sensor_rows": (direct.with_sensor_rows([2]), (3, self.H + [(3, 2)])),
+            "without_row": (built.without_row(1), (1, [(1, 1)])),
+        }
+
+    def test_no_pattern_is_kept_and_each_read_builds_it(self, tmp_path):
+        for route, (sys, (p, h)) in self.routes(tmp_path).items():
+            assert "a_pattern" not in vars(sys), route
+            assert sys.a_pattern == frozenset(self.A), route
+            assert type(sys.a_pattern) is frozenset, route
+            twin = StructuredSystem(n=3, p=p, a_pattern=self.A, h_pattern=h)
+            assert sys == twin and twin == sys and hash(sys) == hash(twin), route
+            assert dataclasses.replace(sys) == twin, route
+            grown = dataclasses.replace(sys, p=p + 1, h_pattern=set(h) | {(p + 1, 1)})
+            assert grown == twin.with_sensor_rows([1]), route
+            assert "a_pattern" not in vars(sys), route
+
+    def test_derived_systems_share_the_bare_keys(self):
+        for base in (StructuredSystem.from_entries(3, 2, self.A, self.H),
+                     StructuredSystem(n=3, p=2, a_pattern=self.A, h_pattern=self.H)):
+            keys = base._a_keys
+            bare = base.without_measurements()
+            assert bare._a_keys is keys
+            for derived in (base.with_sensor_rows([1]), base.without_row(2),
+                            base.without_row(1).without_row(1)):
+                assert derived._a_keys is keys
+                assert derived.a_pattern == frozenset(self.A)
+
+    def test_other_missing_attributes_still_raise(self):
+        for sys in (StructuredSystem.from_entries(3, 1, self.A, [(1, 2)]),
+                    StructuredSystem.from_entries(3, 0, self.A),
+                    StructuredSystem(n=3, p=0, a_pattern=self.A)):
+            with pytest.raises(AttributeError,
+                               match="^'StructuredSystem' object has no attribute 'missing'$"):
+                sys.missing
+            assert getattr(sys, "missing", None) is None
+            assert not hasattr(sys, "_memo")
 
 
 class TestDigraph:

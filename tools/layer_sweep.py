@@ -13,6 +13,10 @@ process, then each repetition times, on a system built afresh:
   over the whole repetition, wrapped where the modules import them, with
   their call counts.
 
+Each structural row also records, from an untimed build of its own
+under ``tracemalloc``, the bytes a freshly built ``from_entries`` system
+still holds and the peak bytes of that build.
+
 Oracle rows: for each n in ``--oracle-sizes``, ``rank_report`` on the
 same kind of chain, with every trial's rank next to the exact generic
 rank in ``EXACT_RANKS``.
@@ -38,6 +42,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -101,8 +106,20 @@ def _repeat(run):
     return {name: _summary(seconds, probes) for name, seconds in samples.items()}
 
 
+def _from_entries_memory(n, p, a, h):
+    """Bytes held by a fresh ``from_entries`` system, and the build's peak."""
+    gc.collect()
+    tracemalloc.start()
+    system = StructuredSystem.from_entries(n, p, a, h)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    del system
+    return {"held_bytes": held, "peak_bytes": peak}
+
+
 def structural_row(n, tracer):
     n, p, a, h = _chain(n)
+    memory = _from_entries_memory(n, p, a, h)
     calls = {}
 
     def run():
@@ -127,7 +144,8 @@ def structural_row(n, tracer):
     layers = _repeat(run)
     for name, count in calls.items():
         layers[name]["calls"] = count
-    return {"n": n, "p": p, "a_entries": len(a), "h_entries": len(h), "layers": layers}
+    return {"n": n, "p": p, "a_entries": len(a), "h_entries": len(h),
+            "from_entries_memory": memory, "layers": layers}
 
 
 def oracle_row(n, trials=5):
