@@ -321,7 +321,6 @@ class TestAKeptAsKeys:
                                match="^'StructuredSystem' object has no attribute 'missing'$"):
                 sys.missing
             assert getattr(sys, "missing", None) is None
-            assert not hasattr(sys, "_memo")
 
 
 class TestDigraph:
