@@ -49,8 +49,8 @@ def accessibility_check(sys):
     """
     n = sys.n
     seeds = [-1] * n
-    for _, state in sys.h_pattern:
-        seeds[state - 1] = 0
+    for key in sys._h_keys.tolist():
+        seeds[key % n] = 0
     labels, _ = search(sys.reverse, seeds)
     states = range(1, n + 1)
     return (tuple(compress(states, map((0).__eq__, labels))),

@@ -22,8 +22,8 @@ MAX_STATES = 3_037_000_499
 
 
 def _check_pattern(name, pattern, n_rows, n_cols):
-    """The entries as a frozenset; raise on the first bad or repeated
-    entry, in the pattern's own order."""
+    """The entries as a set; raise on the first bad or repeated entry, in
+    the pattern's own order."""
     seen = set()
     for entry in pattern:
         if (
@@ -43,7 +43,7 @@ def _check_pattern(name, pattern, n_rows, n_cols):
         if entry in seen:
             raise MalformedInputError(f"duplicate {name[0]} pattern entry ({i}, {j})")
         seen.add(entry)
-    return frozenset(seen)
+    return seen
 
 
 def _plain_system(n, p, a, h, kinds):
@@ -51,8 +51,7 @@ def _plain_system(n, p, a, h, kinds):
     containers of ``kinds`` pairs of ints, in range and without repeats,
     checked before anything is hashed; None for any other input, which
     the caller's checked route then names.  The checked entries become
-    the system's kept keys, so neither pattern is flattened again, and A
-    is kept as those keys alone."""
+    the system's kept keys."""
     if not (type(n) is int and type(p) is int and 1 <= n <= MAX_STATES
             and 0 <= p <= MAX_STATES and type(a) in kinds and type(h) in kinds):
         return None
@@ -65,11 +64,7 @@ def _plain_system(n, p, a, h, kinds):
         if (sorted_keys[1:] == sorted_keys[:-1]).any():  # a repeated entry
             return None
         keys.append(sorted_keys)
-    a_keys, h_keys = keys
-    if p == 0:
-        return _unchecked(n, 0, frozenset(), _a_keys=a_keys, _h_keys=h_keys)
-    bare = _unchecked(n, 0, frozenset(), _a_keys=a_keys)
-    return _unchecked(n, p, frozenset(map(tuple, h)), _bare=bare, _h_keys=h_keys)
+    return _unchecked(n, p, *keys)
 
 
 def _plain_pairs(pattern, kinds, n_rows, n_cols):
@@ -122,9 +117,10 @@ def _check_index(what, value, bound_name, bound):
 class StructuredSystem:
     """Sparsity pattern of an LTI pair (A, H); values are never stored.
 
-    The pattern is also the system's graph: ``rows``, ``matching`` and
-    ``reverse`` are built on first use and kept, since a system is
-    immutable.
+    Each pattern is kept only as its sorted keys, ``_a_keys`` and
+    ``_h_keys``.  The pattern is also the system's graph: ``rows``,
+    ``matching`` and ``reverse`` are built on first use and kept, since a
+    system is immutable.
     """
 
     n: int
@@ -141,15 +137,17 @@ class StructuredSystem:
             raise MalformedInputError(f"p must be a non-negative integer, got {self.p!r}")
         if self.p > MAX_STATES:
             raise MalformedInputError(f"p must be at most {MAX_STATES}, got {self.p}")
-        for name, n_rows in (("a_pattern", self.n), ("h_pattern", self.p)):
-            entries = getattr(self, name)
+        for name, kept, n_rows in (("a_pattern", "_a_keys", self.n),
+                                   ("h_pattern", "_h_keys", self.p)):
+            entries = self.__dict__.pop(name)
             try:
                 items = iter(entries)
             except TypeError:
                 raise MalformedInputError(
                     f"{name} must be an iterable of entries, got {entries!r}"
                 ) from None
-            object.__setattr__(self, name, _check_pattern(name, items, n_rows, self.n))
+            checked = _check_pattern(name, items, n_rows, self.n)
+            self.__dict__[kept] = _sorted_keys(_flat_entries(checked), self.n)
 
     @classmethod
     def from_entries(cls, n, p, a_entries, h_entries=()):
@@ -169,15 +167,19 @@ class StructuredSystem:
         extra = []
         for k, s in enumerate(_tuple_of("sensor states", states)):
             _check_index("sensor state", s, "n", self.n)
-            extra.append((self.p + k + 1, s))
-        return self._derived(self.p + len(extra), self.h_pattern.union(extra))
+            extra.append((self.p + k) * self.n + s - 1)
+        # Each new key is past every old one, so the keys stay sorted.
+        keys = np.concatenate((self._h_keys, np.array(extra, np.int64)))
+        return self._derived(self.p + len(extra), _read_only(keys))
 
     def without_row(self, row):
         """Drop measurement row ``row`` (1-based) and renumber the rest."""
         _check_index("row", row, "p", self.p)
-        kept = frozenset((i - 1 if i > row else i, j)
-                         for (i, j) in self.h_pattern if i != row)
-        return self._derived(self.p - 1, kept)
+        keys, n = self._h_keys, self.n
+        # The row's keys lie in [(row - 1) * n, row * n); later rows' keys drop by n.
+        lo, hi = np.searchsorted(keys, ((row - 1) * n, row * n)).tolist()
+        keys = np.concatenate((keys[:lo], keys[hi:] - n))
+        return self._derived(self.p - 1, _read_only(keys))
 
     def without_measurements(self):
         """The bare state pattern: every measurement row dropped.
@@ -188,28 +190,28 @@ class StructuredSystem:
 
     @cached_property
     def _bare(self):
-        return _unchecked(self.n, 0, frozenset(), a_pattern=self.a_pattern)
+        return _unchecked(self.n, 0, self._a_keys, _NO_KEYS)
 
-    def _derived(self, p, h_pattern):
-        """This system's A pattern with new measurement rows, sharing its
+    def _derived(self, p, h_keys):
+        """This system's A keys with the H keys ``h_keys``, sharing its
         bare system (or that bare system itself when no row is left).  A
         was validated when this system was built and the callers check
-        every row they add, so ``__post_init__`` is not run again; the
-        new system keeps no A pattern of its own."""
+        every row they add, so ``__post_init__`` is not run again."""
         bare = self.without_measurements()
         if p == 0:
             return bare
-        return _unchecked(self.n, p, h_pattern, _bare=bare)
+        return _unchecked(self.n, p, self._a_keys, h_keys, _bare=bare)
 
     def __getattr__(self, name):
-        """``a_pattern`` of a system that keeps no A pattern, built from
-        its bare system's keys on each read and never stored."""
-        if name != "a_pattern":
+        """``a_pattern`` or ``h_pattern``, built from the kept keys on each
+        read and never stored."""
+        if name not in ("a_pattern", "h_pattern"):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}",
                 name=name, obj=self)
-        n, keys = self.n, self._a_keys
-        return frozenset(zip((keys // n + 1).tolist(), (keys % n + 1).tolist()))
+        keys = self._a_keys if name == "a_pattern" else self._h_keys
+        rows, cols = divmod(keys, self.n)
+        return frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
     def memo(self, compute):
         """``compute(self)``, worked out once per system and kept with it.
@@ -242,12 +244,13 @@ class StructuredSystem:
             # Entry (i, j) is the pair (j - 1, i - 1), keyed (j - 1) * n + i - 1.
             return _rows(n, keys % n * n + keys // n)
         measured = {}
-        for i, j in self.h_pattern:
-            measured.setdefault(j - 1, []).append(n + i - 1)
+        for key in self._h_keys.tolist():  # in (row, state) order
+            row, state = divmod(key, n)
+            measured.setdefault(state, []).append(n + row)
         rows = list(self._bare.rows)
         for state, ends in measured.items():
             # Measurement ends follow every state end, so the row stays sorted.
-            rows[state] += tuple(sorted(ends))
+            rows[state] += tuple(ends)
         return tuple(rows)
 
     @cached_property
@@ -267,21 +270,6 @@ class StructuredSystem:
         # Entry (i, j) is the reversed arc (i - 1, j - 1): its key is the row key.
         return _rows(self.n, self._a_keys)
 
-    @cached_property
-    def _a_keys(self):
-        """The A entries (i, j) as sorted keys (i - 1) * n + j - 1, kept by
-        the bare system: the ints ``_plain_system`` checked, or the pattern
-        flattened here on first use (a system built directly, or the bare
-        system of one)."""
-        if self.p:
-            return self._bare._a_keys
-        return _sorted_keys(_flat_entries(self.a_pattern), self.n)
-
-    @cached_property
-    def _h_keys(self):
-        """The H entries' sorted keys, like ``_a_keys``."""
-        return _sorted_keys(_flat_entries(self.h_pattern), self.n)
-
 
 def _flat_entries(pattern):
     """A validated pattern's entries as one flat int64 array i, j, i, j, ..."""
@@ -291,9 +279,16 @@ def _flat_entries(pattern):
 def _sorted_keys(flat, n):
     """Sorted keys (i - 1) * n + j - 1 of flat entries i, j, i, j, ..., as
     one read-only int64 array.  Since j <= n, they sort in (i, j) order."""
-    keys = np.sort(flat[0::2] * n + flat[1::2] - (n + 1))
+    return _read_only(np.sort(flat[0::2] * n + flat[1::2] - (n + 1)))
+
+
+def _read_only(keys):
+    """``keys``, locked: derived systems share them."""
     keys.flags.writeable = False
     return keys
+
+
+_NO_KEYS = _read_only(np.empty(0, np.int64))
 
 
 def _as_tuples(entries):
@@ -325,12 +320,11 @@ def _rows(n, keys):
     return tuple([ends[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
 
 
-def _unchecked(n, p, h_pattern, **kept):
-    """A system from already validated parts, skipping ``__post_init__``;
-    ``kept`` holds its ``a_pattern``, if it keeps one, and the values of
-    cached properties the caller has."""
+def _unchecked(n, p, a_keys, h_keys, **kept):
+    """A system from already validated keys, skipping ``__post_init__``;
+    ``kept`` holds the values of cached properties the caller has."""
     system = object.__new__(StructuredSystem)
-    system.__dict__.update(n=n, p=p, h_pattern=h_pattern, **kept)
+    system.__dict__.update(n=n, p=p, _a_keys=a_keys, _h_keys=h_keys, **kept)
     return system
 
 

@@ -706,6 +706,38 @@ def hopcroft_karp_reference(indptr, indices, n_begin, n_end, start=None):
 
 
 # ---------------------------------------------------------------------------
+# measurement-row edits on sets of pairs
+
+def edited_h_reference(p, h_pattern, edits):
+    """(p, H) after each edit in turn: a tuple of states appends one
+    single-state row per state, as ``with_sensor_rows`` does; an int
+    drops that 1-based row and renumbers the later ones, as
+    ``without_row`` does."""
+    h = set(h_pattern)
+    for edit in edits:
+        if isinstance(edit, tuple):
+            h |= {(p + k, s) for k, s in enumerate(edit, start=1)}
+            p += len(edit)
+        else:
+            h = {(i - 1 if i > edit else i, j) for (i, j) in h if i != edit}
+            p -= 1
+    return p, frozenset(h)
+
+
+def pattern_keys_reference(n, pattern):
+    """The keys (i - 1) * n + j - 1 of a pattern's entries, ascending."""
+    return sorted((i - 1) * n + j - 1 for (i, j) in pattern)
+
+
+def pattern_rows_reference(n, a_pattern, h_pattern):
+    """State u's 0-based ends, ascending, per state: A entry (i, j) is the
+    end i - 1 of state j - 1, H entry (i, j) the end n + i - 1."""
+    pairs = ([(j - 1, i - 1) for (i, j) in a_pattern]
+             + [(j - 1, n + i - 1) for (i, j) in h_pattern])
+    return rows_from_pairs(n, pairs)
+
+
+# ---------------------------------------------------------------------------
 # rows <-> CSR, for handing the kernels' row graphs to CSR references
 
 def rows_from_pairs(n_nodes, pairs):

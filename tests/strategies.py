@@ -13,6 +13,13 @@ from obspart import (
 
 @st.composite
 def systems(draw, n_min=1, n_max=8, p_max=3, allow_h=True):
+    n, p, a, h = draw(patterns(n_min, n_max, p_max, allow_h))
+    return StructuredSystem(n=n, p=p, a_pattern=a, h_pattern=h)
+
+
+@st.composite
+def patterns(draw, n_min=1, n_max=8, p_max=3, allow_h=True):
+    """(n, p, A, H), with A and H frozensets of 1-based pairs."""
     n = draw(st.integers(n_min, n_max))
     a = draw(
         st.frozensets(
@@ -29,7 +36,7 @@ def systems(draw, n_min=1, n_max=8, p_max=3, allow_h=True):
                 max_size=2 * p,
             )
         )
-    return StructuredSystem(n=n, p=p, a_pattern=a, h_pattern=h)
+    return n, p, a, h
 
 
 def random_partitionable_system(rng, n_lo=3, n_hi=10, density_lo=1.5,

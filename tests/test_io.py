@@ -137,23 +137,24 @@ class TestLoaderRoutes:
         assert [o.tolist() for o in offsets] == [[0, 3, 7], [2]]
         assert (len(checks), len(flattens)) == (0, 0)
         # A system built by ``from_entries`` takes the same fast check and
-        # keeps its keys; a derived one flattens its new H pattern once.
+        # keeps its keys; a derived one computes its H keys from its
+        # parent's and flattens nothing.
         built = S(3, 1, [(3, 2), (2, 1), (1, 1)], [(1, 3)])
         assert built.reverse == sys.reverse
         assert [o.tolist() for o in (built._a_keys, built._h_keys)] == [[0, 3, 7], [2]]
         assert len(checks) == 0 and len(flattens) == 0
         grown = built.with_sensor_rows([1])
         assert [o.tolist() for o in (grown._a_keys, grown._h_keys)] == [[0, 3, 7], [2, 3]]
-        assert len(flattens) == 1
+        assert len(flattens) == 0
         # A system built directly checks each pattern entry by entry and
-        # flattens each once, on first use.
+        # flattens each once, at construction.
         direct = StructuredSystem(n=3, p=1, a_pattern={(3, 2), (2, 1), (1, 1)},
                                   h_pattern=[(1, 3)])
-        assert len(checks) == 2 and len(flattens) == 1
+        assert len(checks) == 2 and len(flattens) == 2
         assert direct.reverse == sys.reverse
         for _ in range(2):
             assert [o.tolist() for o in (direct._a_keys, direct._h_keys)] == [[0, 3, 7], [2]]
-        assert len(checks) == 2 and len(flattens) == 3
+        assert len(checks) == 2 and len(flattens) == 2
 
 
 class TestHugeN:

@@ -20,11 +20,18 @@ from obspart import (
     decompose,
     s_rank,
 )
-from obspart.io import load_system, system_from_dict
+from obspart.io import load_matrix_market, load_system, system_from_dict
 from obspart.structure import _check_pattern
 from conftest import S
-from oracles import check_pattern_reference, csr_to_rows, system_to_dict
-from strategies import systems
+from oracles import (
+    check_pattern_reference,
+    csr_to_rows,
+    edited_h_reference,
+    pattern_keys_reference,
+    pattern_rows_reference,
+    system_to_dict,
+)
+from strategies import patterns, systems
 
 # One bad entry each, made from a valid entry (i, j) of a pattern with
 # ``rows`` rows and n columns.
@@ -266,9 +273,8 @@ class TestStructuredSystem:
 
 
 class TestAKeptAsKeys:
-    """A system that passed the fast pattern check, and any system derived
-    from another, keeps A only as its bare system's sorted keys;
-    ``a_pattern`` is built from them on each read."""
+    """Every system, however built, keeps A and H only as sorted keys;
+    ``a_pattern`` and ``h_pattern`` are built from them on each read."""
 
     A = [(3, 2), (2, 1), (1, 1), (2, 3)]
     H = [(1, 3), (2, 1)]
@@ -279,10 +285,16 @@ class TestAKeptAsKeys:
                "h": [list(e) for e in self.H]}
         path = tmp_path / "system.json"
         path.write_text(json.dumps(doc))
+        mtx = tmp_path / "system.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate pattern general\n3 3 4\n"
+                       + "".join(f"{i} {j}\n" for i, j in self.A))
         direct = StructuredSystem(n=3, p=2, a_pattern=self.A, h_pattern=self.H)
         built = StructuredSystem.from_entries(3, 2, self.A, self.H)
         return {
+            "constructor": (direct, (2, self.H)),
+            "constructor p=0": (StructuredSystem(n=3, p=0, a_pattern=self.A), (0, [])),
             "load_system": (load_system(path)[0], (2, self.H)),
+            "load_matrix_market": (load_matrix_market(mtx), (0, [])),
             "system_from_dict": (system_from_dict(doc)[0], (2, self.H)),
             "from_entries": (built, (2, self.H)),
             "from_entries p=0": (StructuredSystem.from_entries(3, 0, self.A), (0, [])),
@@ -292,15 +304,30 @@ class TestAKeptAsKeys:
 
     def test_no_pattern_is_kept_and_each_read_builds_it(self, tmp_path):
         for route, (sys, (p, h)) in self.routes(tmp_path).items():
-            assert "a_pattern" not in vars(sys), route
-            assert sys.a_pattern == frozenset(self.A), route
-            assert type(sys.a_pattern) is frozenset, route
+            self.assert_keys_only(sys, route)
+            assert (sys.a_pattern, sys.h_pattern) == (frozenset(self.A), frozenset(h)), route
+            assert type(sys.a_pattern) is type(sys.h_pattern) is frozenset, route
             twin = StructuredSystem(n=3, p=p, a_pattern=self.A, h_pattern=h)
+            self.assert_keys_only(twin, route)
             assert sys == twin and twin == sys and hash(sys) == hash(twin), route
+            assert repr(sys) == repr(twin), route
             assert dataclasses.replace(sys) == twin, route
             grown = dataclasses.replace(sys, p=p + 1, h_pattern=set(h) | {(p + 1, 1)})
             assert grown == twin.with_sensor_rows([1]), route
-            assert "a_pattern" not in vars(sys), route
+            self.assert_keys_only(sys, route)
+
+    @staticmethod
+    def assert_keys_only(sys, route):
+        """No pattern set is stored, and both keys are kept as plain,
+        sorted, read-only int64 arrays."""
+        assert not {"a_pattern", "h_pattern"} & set(vars(sys)), route
+        for name, pattern in (("_a_keys", sys.a_pattern), ("_h_keys", sys.h_pattern)):
+            keys = vars(sys)[name]
+            assert keys.dtype == np.int64 and not keys.flags.writeable, route
+            assert keys.tolist() == pattern_keys_reference(sys.n, pattern), route
+
+    def test_keys_are_no_cached_properties(self):
+        assert not {"_a_keys", "_h_keys"} & set(vars(StructuredSystem))
 
     def test_derived_systems_share_the_bare_keys(self):
         for base in (StructuredSystem.from_entries(3, 2, self.A, self.H),
@@ -321,6 +348,34 @@ class TestAKeptAsKeys:
                                match="^'StructuredSystem' object has no attribute 'missing'$"):
                 sys.missing
             assert getattr(sys, "missing", None) is None
+
+
+class TestKeyAlgebra:
+    """``with_sensor_rows`` and ``without_row`` edit the sorted H keys; every
+    chain of them must agree with the same edits on a set of pairs."""
+
+    @given(patterns(), st.booleans(), st.data())
+    def test_edit_chains_match_the_set_reference(self, pattern, direct, data):
+        n, p, a, h = pattern
+        if direct:
+            sys = StructuredSystem(n=n, p=p, a_pattern=a, h_pattern=h)
+        else:
+            sys = StructuredSystem.from_entries(n, p, sorted(a), sorted(h))
+        edits = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            ref_p, _ = edited_h_reference(p, h, edits)
+            if ref_p and data.draw(st.booleans()):
+                edits.append(data.draw(st.integers(1, ref_p)))
+                sys = sys.without_row(edits[-1])
+            else:
+                edits.append(tuple(data.draw(st.lists(st.integers(1, n), max_size=3))))
+                sys = sys.with_sensor_rows(edits[-1])
+            ref_p, ref_h = edited_h_reference(p, h, edits)
+            assert (sys.p, sys.h_pattern, sys.a_pattern) == (ref_p, ref_h, a)
+            keys = sys._h_keys
+            assert keys.dtype == np.int64 and not keys.flags.writeable
+            assert keys.tolist() == pattern_keys_reference(n, ref_h)
+            assert sys.rows == pattern_rows_reference(n, a, ref_h)
 
 
 class TestDigraph:
