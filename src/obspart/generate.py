@@ -9,8 +9,10 @@ from .structure import StructuredSystem
 def random_system(rng, n_lo=3, n_hi=12, density_lo=1.5, density_hi=3.0,
                   p_lo=0, p_hi=3):
     """One random pattern: n states, ~density*n arcs, p single-state rows."""
-    if n_lo < 1 or n_hi < n_lo:
-        raise ParameterError(f"bad state-count range [{n_lo}, {n_hi}]")
+    for name, lo, hi, least in (("state-count", n_lo, n_hi, 1), ("row-count", p_lo, p_hi, 0),
+                                ("density", density_lo, density_hi, 0)):
+        if lo < least or hi < lo:
+            raise ParameterError(f"bad {name} range [{lo}, {hi}]")
     n = int(rng.integers(n_lo, n_hi + 1))
     density = float(rng.uniform(density_lo, density_hi))
     m = min(n * n, max(1, round(density * n)))

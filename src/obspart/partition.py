@@ -254,9 +254,8 @@ def _row_states(sys):
     if sys.p == 0:
         raise PreconditionError("classification requires at least one measurement row")
     row_states = {row: set() for row in range(1, sys.p + 1)}
-    for key in sys._h_keys.tolist():
-        row, state = divmod(key, sys.n)
-        row_states[row + 1].add(state + 1)
+    for row, state in sys.h_entries():
+        row_states[row].add(state)
     for row, states in row_states.items():
         if not states:
             raise MalformedInputError(f"measurement row {row} measures no state")

@@ -47,12 +47,11 @@ def accessibility_check(sys):
     state reaches a measurement exactly when it reaches a state that H
     measures, so one search runs from those over the reversed state arcs.
     """
-    n = sys.n
-    seeds = [-1] * n
-    for key in sys._h_keys.tolist():
-        seeds[key % n] = 0
+    seeds = [-1] * sys.n
+    for _, state in sys.h_entries():
+        seeds[state - 1] = 0
     labels, _ = search(sys.reverse, seeds)
-    states = range(1, n + 1)
+    states = range(1, sys.n + 1)
     return (tuple(compress(states, map((0).__eq__, labels))),
             tuple(compress(states, labels)))
 

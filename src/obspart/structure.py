@@ -6,9 +6,8 @@ core" section describes the rows, matching and reverse a system keeps,
 which every structural layer reads.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -113,41 +112,36 @@ def _check_index(what, value, bound_name, bound):
         raise MalformedInputError(f"{what} {value} out of range for {bound_name}={bound}")
 
 
-@dataclass(frozen=True)
 class StructuredSystem:
     """Sparsity pattern of an LTI pair (A, H); values are never stored.
 
     Each pattern is kept only as its sorted keys, ``_a_keys`` and
-    ``_h_keys``.  The pattern is also the system's graph: ``rows``,
-    ``matching`` and ``reverse`` are built on first use and kept, since a
-    system is immutable.
+    ``_h_keys``, and n, p and the keys are the system's identity.  The
+    pattern is also the system's graph: ``rows``, ``matching`` and
+    ``reverse`` are built on first use and kept, since a system is
+    immutable.
     """
 
-    n: int
-    p: int
-    a_pattern: frozenset = field(default_factory=frozenset)
-    h_pattern: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise MalformedInputError(f"n must be a positive integer, got {self.n!r}")
-        if self.n > MAX_STATES:
-            raise MalformedInputError(f"n must be at most {MAX_STATES}, got {self.n}")
-        if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 0:
-            raise MalformedInputError(f"p must be a non-negative integer, got {self.p!r}")
-        if self.p > MAX_STATES:
-            raise MalformedInputError(f"p must be at most {MAX_STATES}, got {self.p}")
-        for name, kept, n_rows in (("a_pattern", "_a_keys", self.n),
-                                   ("h_pattern", "_h_keys", self.p)):
-            entries = self.__dict__.pop(name)
+    def __init__(self, n, p, a_pattern=frozenset(), h_pattern=frozenset()):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise MalformedInputError(f"n must be a positive integer, got {n!r}")
+        if n > MAX_STATES:
+            raise MalformedInputError(f"n must be at most {MAX_STATES}, got {n}")
+        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+            raise MalformedInputError(f"p must be a non-negative integer, got {p!r}")
+        if p > MAX_STATES:
+            raise MalformedInputError(f"p must be at most {MAX_STATES}, got {p}")
+        self.__dict__.update(n=n, p=p)
+        for name, kept, entries, n_rows in (("a_pattern", "_a_keys", a_pattern, n),
+                                            ("h_pattern", "_h_keys", h_pattern, p)):
             try:
                 items = iter(entries)
             except TypeError:
                 raise MalformedInputError(
                     f"{name} must be an iterable of entries, got {entries!r}"
                 ) from None
-            checked = _check_pattern(name, items, n_rows, self.n)
-            self.__dict__[kept] = _sorted_keys(_flat_entries(checked), self.n)
+            checked = _check_pattern(name, items, n_rows, n)
+            self.__dict__[kept] = _read_only(_sorted_keys(_flat_entries(checked), n))
 
     @classmethod
     def from_entries(cls, n, p, a_entries, h_entries=()):
@@ -159,8 +153,7 @@ class StructuredSystem:
         or repeated entry.
         """
         return (_plain_system(n, p, a_entries, h_entries, {list, tuple})
-                or cls(n=n, p=p, a_pattern=_as_tuples(a_entries),
-                       h_pattern=_as_tuples(h_entries)))
+                or cls(n, p, _as_tuples(a_entries), _as_tuples(h_entries)))
 
     def with_sensor_rows(self, states):
         """Append one single-state measurement row per listed state."""
@@ -170,7 +163,7 @@ class StructuredSystem:
             extra.append((self.p + k) * self.n + s - 1)
         # Each new key is past every old one, so the keys stay sorted.
         keys = np.concatenate((self._h_keys, np.array(extra, np.int64)))
-        return self._derived(self.p + len(extra), _read_only(keys))
+        return self._derived(self.p + len(extra), keys)
 
     def without_row(self, row):
         """Drop measurement row ``row`` (1-based) and renumber the rest."""
@@ -178,8 +171,7 @@ class StructuredSystem:
         keys, n = self._h_keys, self.n
         # The row's keys lie in [(row - 1) * n, row * n); later rows' keys drop by n.
         lo, hi = np.searchsorted(keys, ((row - 1) * n, row * n)).tolist()
-        keys = np.concatenate((keys[:lo], keys[hi:] - n))
-        return self._derived(self.p - 1, _read_only(keys))
+        return self._derived(self.p - 1, np.concatenate((keys[:lo], keys[hi:] - n)))
 
     def without_measurements(self):
         """The bare state pattern: every measurement row dropped.
@@ -190,28 +182,58 @@ class StructuredSystem:
 
     @cached_property
     def _bare(self):
-        return _unchecked(self.n, 0, self._a_keys, _NO_KEYS)
+        return _unchecked(self.n, 0, self._a_keys, np.empty(0, np.int64))
 
     def _derived(self, p, h_keys):
         """This system's A keys with the H keys ``h_keys``, sharing its
         bare system (or that bare system itself when no row is left).  A
         was validated when this system was built and the callers check
-        every row they add, so ``__post_init__`` is not run again."""
+        every row they add, so the constructor's checks are not run again."""
         bare = self.without_measurements()
         if p == 0:
             return bare
         return _unchecked(self.n, p, self._a_keys, h_keys, _bare=bare)
 
-    def __getattr__(self, name):
-        """``a_pattern`` or ``h_pattern``, built from the kept keys on each
-        read and never stored."""
-        if name not in ("a_pattern", "h_pattern"):
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}",
-                name=name, obj=self)
-        keys = self._a_keys if name == "a_pattern" else self._h_keys
-        rows, cols = divmod(keys, self.n)
-        return frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
+    @property
+    def a_pattern(self):
+        """The A entries: a frozenset of 1-based (row, column) pairs, built
+        from the kept keys on each read."""
+        return frozenset(_pairs(self._a_keys, self.n))
+
+    @property
+    def h_pattern(self):
+        """The H entries, as ``a_pattern``."""
+        return frozenset(self.h_entries())
+
+    def h_entries(self):
+        """An iterator over the H entries as 1-based (row, state) pairs, in
+        (row, state) order."""
+        return _pairs(self._h_keys, self.n)
+
+    def _identity(self):
+        """n, p and the bytes of both keys: all that tells systems apart."""
+        return self.n, self.p, self._a_keys.tobytes(), self._h_keys.tobytes()
+
+    def __eq__(self, other):
+        return (self._identity() == other._identity()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._identity())
+
+    def __repr__(self):
+        a, h = (list(_pairs(keys, self.n)) for keys in (self._a_keys, self._h_keys))
+        return f"StructuredSystem(n={self.n}, p={self.p}, a_pattern={a}, h_pattern={h})"
+
+    def __setattr__(self, name, *value):
+        """No attribute is set or deleted: a system is immutable."""
+        raise AttributeError(f"cannot set or delete {name!r}: a system is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        """Pickle and copy n, p and the keys only; the copy locks them again."""
+        return _unchecked, (self.n, self.p, self._a_keys, self._h_keys)
 
     def memo(self, compute):
         """``compute(self)``, worked out once per system and kept with it.
@@ -244,9 +266,8 @@ class StructuredSystem:
             # Entry (i, j) is the pair (j - 1, i - 1), keyed (j - 1) * n + i - 1.
             return _rows(n, keys % n * n + keys // n)
         measured = {}
-        for key in self._h_keys.tolist():  # in (row, state) order
-            row, state = divmod(key, n)
-            measured.setdefault(state, []).append(n + row)
+        for row, state in self.h_entries():
+            measured.setdefault(state - 1, []).append(n + row - 1)
         rows = list(self._bare.rows)
         for state, ends in measured.items():
             # Measurement ends follow every state end, so the row stays sorted.
@@ -278,8 +299,8 @@ def _flat_entries(pattern):
 
 def _sorted_keys(flat, n):
     """Sorted keys (i - 1) * n + j - 1 of flat entries i, j, i, j, ..., as
-    one read-only int64 array.  Since j <= n, they sort in (i, j) order."""
-    return _read_only(np.sort(flat[0::2] * n + flat[1::2] - (n + 1)))
+    one int64 array.  Since j <= n, they sort in (i, j) order."""
+    return np.sort(flat[0::2] * n + flat[1::2] - (n + 1))
 
 
 def _read_only(keys):
@@ -288,7 +309,10 @@ def _read_only(keys):
     return keys
 
 
-_NO_KEYS = _read_only(np.empty(0, np.int64))
+def _pairs(keys, n):
+    """An iterator over the 1-based (row, column) pairs of ``keys``, in
+    key order."""
+    return ((i + 1, j + 1) for i, j in map(divmod, keys.tolist(), repeat(n)))
 
 
 def _as_tuples(entries):
@@ -321,10 +345,12 @@ def _rows(n, keys):
 
 
 def _unchecked(n, p, a_keys, h_keys, **kept):
-    """A system from already validated keys, skipping ``__post_init__``;
-    ``kept`` holds the values of cached properties the caller has."""
+    """A system from already validated keys, locked here, skipping the
+    constructor's checks; ``kept`` holds the values of cached properties
+    the caller has."""
     system = object.__new__(StructuredSystem)
-    system.__dict__.update(n=n, p=p, _a_keys=a_keys, _h_keys=h_keys, **kept)
+    system.__dict__.update(n=n, p=p, _a_keys=_read_only(a_keys),
+                           _h_keys=_read_only(h_keys), **kept)
     return system
 
 

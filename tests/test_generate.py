@@ -6,8 +6,16 @@ from strategies import random_partitionable_system
 
 
 def test_state_count_range_must_not_be_empty():
-    with pytest.raises(ParameterError, match=r"^bad state-count range \[5, 4\]$"):
-        random_system(np.random.default_rng(0), n_lo=5, n_hi=4)
+    # Every range names itself; an inverted or negative one never reaches numpy.
+    for ranges, message in (
+        (dict(n_lo=5, n_hi=4), r"^bad state-count range \[5, 4\]$"),
+        (dict(p_lo=2, p_hi=1), r"^bad row-count range \[2, 1\]$"),
+        (dict(p_lo=-1, p_hi=1), r"^bad row-count range \[-1, 1\]$"),
+        (dict(density_lo=2.0, density_hi=1.0), r"^bad density range \[2.0, 1.0\]$"),
+        (dict(density_lo=-1.0), r"^bad density range \[-1.0, 3.0\]$"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            random_system(np.random.default_rng(0), **ranges)
 
 
 def test_partitionable_draws_can_run_out():

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import re
 from collections import namedtuple
 from functools import partial
@@ -311,8 +313,10 @@ class TestAKeptAsKeys:
             self.assert_keys_only(twin, route)
             assert sys == twin and twin == sys and hash(sys) == hash(twin), route
             assert repr(sys) == repr(twin), route
-            assert dataclasses.replace(sys) == twin, route
-            grown = dataclasses.replace(sys, p=p + 1, h_pattern=set(h) | {(p + 1, 1)})
+            with pytest.raises(TypeError, match="dataclass instances"):
+                dataclasses.replace(sys)
+            grown = StructuredSystem(n=3, p=p + 1, a_pattern=sys.a_pattern,
+                                     h_pattern=set(h) | {(p + 1, 1)})
             assert grown == twin.with_sensor_rows([1]), route
             self.assert_keys_only(sys, route)
 
@@ -325,6 +329,43 @@ class TestAKeptAsKeys:
             keys = vars(sys)[name]
             assert keys.dtype == np.int64 and not keys.flags.writeable, route
             assert keys.tolist() == pattern_keys_reference(sys.n, pattern), route
+
+    def test_copies_keep_only_the_keys_and_lock_them(self, tmp_path):
+        for route, (sys, _) in self.routes(tmp_path).items():
+            cached = (sys.rows, sys.matching, sys.reverse)  # kept with sys only
+            for copied in (pickle.loads(pickle.dumps(sys)), copy.copy(sys),
+                           copy.deepcopy(sys)):
+                assert copied == sys and hash(copied) == hash(sys), route
+                assert set(vars(copied)) == {"n", "p", "_a_keys", "_h_keys"}, route
+                self.assert_keys_only(copied, route)
+                assert (copied.rows, copied.matching, copied.reverse) == cached, route
+
+    def test_identity_needs_n_and_p_as_well_as_the_keys(self):
+        # Both systems keep A key 1 for entry (1, 2).
+        two, three = S(2, 0, [(1, 2)]), S(3, 0, [(1, 2)])
+        assert two._a_keys.tolist() == three._a_keys.tolist() == [1]
+        assert two != three
+        # The same H keys, with an empty trailing row.
+        one_row, two_rows = S(2, 1, [], [(1, 1)]), S(2, 2, [], [(1, 1)])
+        assert one_row._h_keys.tolist() == two_rows._h_keys.tolist()
+        assert one_row != two_rows
+        assert one_row != (2, 1) and one_row.__eq__((2, 1)) is NotImplemented
+
+    def test_a_system_is_immutable(self):
+        sys = S(2, 1, [(1, 2)], [(1, 1)])
+        for name in ("n", "p", "_a_keys", "a_pattern"):
+            with pytest.raises(AttributeError, match=f"^cannot set or delete {name!r}"):
+                setattr(sys, name, 1)
+            with pytest.raises(AttributeError, match=f"^cannot set or delete {name!r}"):
+                delattr(sys, name)
+        assert (sys.n, sys.p, sys.a_pattern) == (2, 1, frozenset({(1, 2)}))
+
+    def test_repr_and_h_entries_list_the_entries_in_order(self):
+        sys = StructuredSystem(n=3, p=2, a_pattern=self.A, h_pattern=self.H)
+        assert list(sys.h_entries()) == [(1, 3), (2, 1)]
+        assert repr(sys) == ("StructuredSystem(n=3, p=2, a_pattern=[(1, 1), (2, 1), "
+                             "(2, 3), (3, 2)], h_pattern=[(1, 3), (2, 1)])")
+        assert eval(repr(sys)) == sys
 
     def test_keys_are_no_cached_properties(self):
         assert not {"_a_keys", "_h_keys"} & set(vars(StructuredSystem))
